@@ -896,8 +896,7 @@ Report run(hw::Machine& machine, pfs::StripedFs& fs,
         eng.spawn(cluster.run(rank_body), "ckpt." + w.name);
     // Step (not run): a full drain would also consume future fault edges
     // and fling the clock to the plan horizon.
-    while (!main.done() && eng.step()) {
-    }
+    eng.run_while([&] { return !main.done(); });
     if (!main.done()) break;  // starved: a bug, surfaces as !completed
     if (!st.failed) {
       st.rep.completed = true;

@@ -6,6 +6,15 @@ namespace iosrv {
 
 // ---------------------------------------------------------------- LRU --
 
+void LruPolicy::touch(Entry& e) {
+  e.stamp = ++clock_;
+  if (!e.dirty) {
+    auto node = clean_.extract(e.clean);
+    node.key() = e.stamp;
+    e.clean = clean_.insert(clean_.end(), std::move(node));
+  }
+}
+
 bool LruPolicy::lookup(const BlockKey& k) {
   auto it = map_.find(k);
   if (it == map_.end()) {
@@ -13,7 +22,7 @@ bool LruPolicy::lookup(const BlockKey& k) {
     return false;
   }
   count_hit();
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  touch(it->second);
   return true;
 }
 
@@ -25,59 +34,80 @@ bool LruPolicy::is_dirty(const BlockKey& k) const {
 bool LruPolicy::insert(const BlockKey& k, bool dirty) {
   auto it = map_.find(k);
   if (it != map_.end()) {
-    it->second.dirty = it->second.dirty || dirty;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    Entry& e = it->second;
+    if (dirty && !e.dirty) {
+      clean_.erase(e.clean);
+      e.dirty = true;
+    }
+    touch(e);
     return true;
   }
   while (map_.size() >= capacity()) {
     if (!evict_one_clean()) return false;  // everything pinned
   }
-  lru_.push_front(k);
-  map_.emplace(k, Entry{lru_.begin(), dirty});
+  Entry e{++clock_, {}, dirty};
+  if (!dirty) e.clean = clean_.emplace_hint(clean_.end(), e.stamp, k);
+  map_.emplace(k, e);
   return true;
 }
 
 void LruPolicy::mark_clean(const BlockKey& k) {
   auto it = map_.find(k);
-  if (it != map_.end()) it->second.dirty = false;
+  if (it == map_.end() || !it->second.dirty) return;
+  Entry& e = it->second;
+  e.dirty = false;
+  e.clean = clean_.emplace(e.stamp, k).first;
 }
 
 std::size_t LruPolicy::invalidate_all() {
-  std::size_t dirty = 0;
-  for (const auto& [k, e] : map_) {
-    if (e.dirty) ++dirty;
-  }
-  lru_.clear();
+  const std::size_t dirty = map_.size() - clean_.size();
+  clean_.clear();
   map_.clear();
   return dirty;
 }
 
 bool LruPolicy::evict_one_clean() {
-  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    auto m = map_.find(*it);
-    if (!m->second.dirty) {
-      const BlockKey victim = *it;
-      lru_.erase(m->second.lru_pos);
-      map_.erase(m);
-      count_eviction(victim);
-      return true;
-    }
-  }
-  return false;
+  if (clean_.empty()) return false;
+  const BlockKey victim = clean_.begin()->second;
+  clean_.erase(clean_.begin());
+  map_.erase(victim);
+  count_eviction(victim);
+  return true;
 }
 
 // ---------------------------------------------------------------- ARC --
 
 bool ArcPolicy::contains(const BlockKey& k) const {
   auto it = map_.find(k);
-  return it != map_.end() &&
-         (it->second.list == List::kT1 || it->second.list == List::kT2);
+  return it != map_.end() && resident(it->second.list);
 }
 
 bool ArcPolicy::is_dirty(const BlockKey& k) const {
   auto it = map_.find(k);
-  return it != map_.end() && it->second.dirty &&
-         (it->second.list == List::kT1 || it->second.list == List::kT2);
+  return it != map_.end() && it->second.dirty && resident(it->second.list);
+}
+
+void ArcPolicy::admit(Entry& e, const BlockKey& k, List to) {
+  e.list = to;
+  e.stamp = ++clock_;
+  ++resident_[slot(to)];
+  if (!e.dirty) {
+    CleanIndex& idx = clean_[slot(to)];
+    e.clean = idx.emplace_hint(idx.end(), e.stamp, k);
+  }
+}
+
+void ArcPolicy::move_to_mru(Entry& e, List to) {
+  e.stamp = ++clock_;
+  if (!e.dirty) {
+    auto node = clean_[slot(e.list)].extract(e.clean);
+    node.key() = e.stamp;
+    CleanIndex& idx = clean_[slot(to)];
+    e.clean = idx.insert(idx.end(), std::move(node));
+  }
+  --resident_[slot(e.list)];
+  ++resident_[slot(to)];
+  e.list = to;
 }
 
 bool ArcPolicy::lookup(const BlockKey& k) {
@@ -86,7 +116,7 @@ bool ArcPolicy::lookup(const BlockKey& k) {
     count_miss();
     return false;
   }
-  if (it->second.list != List::kT1 && it->second.list != List::kT2) {
+  if (!resident(it->second.list)) {
     // Ghost hit on a read: the data is gone, but the reference still
     // carries the adaptation signal — IF the ghost had read history.
     // A never-read ghost is a write whose one read-back arrived after
@@ -103,14 +133,12 @@ bool ArcPolicy::lookup(const BlockKey& k) {
   count_hit();
   Entry& e = it->second;
   if (e.referenced) {
-    promote(e, k);
+    move_to_mru(e, List::kT2);
   } else {
     // First read of a write-originated block: reading back one's own
     // write-behind data is recency, not reuse — refresh in place.
     e.referenced = true;
-    std::list<BlockKey>& l = list_of(e.list);
-    l.splice(l.begin(), l, e.pos);
-    e.pos = l.begin();
+    move_to_mru(e, e.list);
   }
   return true;
 }
@@ -126,26 +154,21 @@ void ArcPolicy::adapt(bool in_b2) {
   }
 }
 
-void ArcPolicy::promote(Entry& e, const BlockKey& k) {
-  std::list<BlockKey>& from = list_of(e.list);
-  t2_.splice(t2_.begin(), from, e.pos);
-  e.list = List::kT2;
-  e.pos = t2_.begin();
-  (void)k;
-}
-
 void ArcPolicy::mark_clean(const BlockKey& k) {
+  // Ghosts are never dirty (only clean blocks are demoted), so a dirty
+  // entry is a resident.
   auto it = map_.find(k);
-  if (it != map_.end()) it->second.dirty = false;
+  if (it == map_.end() || !it->second.dirty) return;
+  Entry& e = it->second;
+  e.dirty = false;
+  e.clean = clean_[slot(e.list)].emplace(e.stamp, k).first;
 }
 
 std::size_t ArcPolicy::invalidate_all() {
-  std::size_t dirty = 0;
-  for (const auto& [k, e] : map_) {
-    if (e.dirty && (e.list == List::kT1 || e.list == List::kT2)) ++dirty;
-  }
-  t1_.clear();
-  t2_.clear();
+  const std::size_t dirty = size() - clean_[0].size() - clean_[1].size();
+  resident_[0] = resident_[1] = 0;
+  clean_[0].clear();
+  clean_[1].clear();
   b1_.clear();
   b2_.clear();
   map_.clear();
@@ -154,37 +177,35 @@ std::size_t ArcPolicy::invalidate_all() {
 }
 
 void ArcPolicy::drop_ghost_lru(List ghost) {
-  std::list<BlockKey>& l = list_of(ghost);
+  std::list<BlockKey>& l = ghost_list(ghost);
   if (l.empty()) return;
   map_.erase(l.back());
   l.pop_back();
 }
 
 bool ArcPolicy::evict_from(List from, const List* ghost) {
-  std::list<BlockKey>& l = list_of(from);
-  for (auto it = l.rbegin(); it != l.rend(); ++it) {
-    auto m = map_.find(*it);
-    if (m->second.dirty) continue;  // pinned
-    const BlockKey victim = *it;
-    if (ghost) {
-      std::list<BlockKey>& g = list_of(*ghost);
-      g.splice(g.begin(), l, m->second.pos);
-      m->second.list = *ghost;
-      m->second.pos = g.begin();
-    } else {
-      l.erase(m->second.pos);
-      map_.erase(m);
-    }
-    count_eviction(victim);
-    return true;
+  CleanIndex& idx = clean_[slot(from)];
+  if (idx.empty()) return false;  // every block of `from` is pinned
+  const BlockKey victim = idx.begin()->second;
+  idx.erase(idx.begin());
+  --resident_[slot(from)];
+  auto m = map_.find(victim);
+  if (ghost) {
+    std::list<BlockKey>& g = ghost_list(*ghost);
+    g.push_front(victim);
+    m->second.list = *ghost;
+    m->second.pos = g.begin();
+  } else {
+    map_.erase(m);
   }
-  return false;
+  count_eviction(victim);
+  return true;
 }
 
 bool ArcPolicy::replace(bool ghost_hit_in_b2) {
-  const double t1n = static_cast<double>(t1_.size());
+  const double t1n = static_cast<double>(resident_[0]);
   const bool from_t1 =
-      !t1_.empty() && (t1n > p_ || (ghost_hit_in_b2 && t1n == p_));
+      resident_[0] > 0 && (t1n > p_ || (ghost_hit_in_b2 && t1n == p_));
   if (from_t1) {
     const List b1 = List::kB1;
     if (evict_from(List::kT1, &b1)) return true;
@@ -200,53 +221,51 @@ bool ArcPolicy::replace(bool ghost_hit_in_b2) {
 bool ArcPolicy::insert(const BlockKey& k, bool dirty) {
   const std::size_t c = capacity();
   auto it = map_.find(k);
-  if (it != map_.end() &&
-      (it->second.list == List::kT1 || it->second.list == List::kT2)) {
-    it->second.dirty = it->second.dirty || dirty;
+  if (it != map_.end() && resident(it->second.list)) {
+    Entry& e = it->second;
     if (dirty) {
       // Write-aware: a write refresh (write-behind absorbing sub-block
       // pieces, or a checkpoint rewriting its region) is not a
       // frequency signal — keep the block in its current list, just
       // refresh recency there.
-      std::list<BlockKey>& l = list_of(it->second.list);
-      l.splice(l.begin(), l, it->second.pos);
-      it->second.pos = l.begin();
+      if (!e.dirty) {
+        clean_[slot(e.list)].erase(e.clean);
+        e.dirty = true;
+      }
+      move_to_mru(e, e.list);
     } else {
-      it->second.referenced = true;
-      promote(it->second, k);
+      e.referenced = true;
+      move_to_mru(e, List::kT2);
     }
     return true;
   }
 
   if (it != map_.end()) {  // ghost hit
-    if (dirty || !it->second.referenced) {
+    Entry& e = it->second;
+    if (dirty || !e.referenced) {
       // Write-aware: a rewrite of an evicted block earns no frequency
       // credit, and a READ of a never-read ghost is a write's one
       // read-back arriving after eviction — neither steers p nor earns
       // T2.  Forget the ghost and insert as if brand-new (landing in
       // T1 below; a clean insert starts its read history there).
-      list_of(it->second.list).erase(it->second.pos);
+      ghost_list(e.list).erase(e.pos);
       map_.erase(it);
-      it = map_.end();
     } else {
       // Read re-reference of a recently evicted block: adapt p toward
       // the list whose ghost was hit, make room, land in T2.
-      const bool in_b2 = it->second.list == List::kB2;
+      const bool in_b2 = e.list == List::kB2;
       adapt(in_b2);
       if (size() >= c && !replace(in_b2)) return false;  // all pinned
-      std::list<BlockKey>& g = list_of(it->second.list);
-      t2_.splice(t2_.begin(), g, it->second.pos);
-      it->second.list = List::kT2;
-      it->second.pos = t2_.begin();
-      it->second.dirty = dirty;
-      it->second.referenced = true;
+      ghost_list(e.list).erase(e.pos);
+      e.dirty = false;
+      admit(e, k, List::kT2);
       return true;
     }
   }
 
   // Brand-new key.
-  if (t1_.size() + b1_.size() >= c) {
-    if (t1_.size() < c) {
+  if (resident_[0] + b1_.size() >= c) {
+    if (resident_[0] < c) {
       drop_ghost_lru(List::kB1);
       if (size() >= c && !replace(false)) return false;
     } else {
@@ -257,8 +276,11 @@ bool ArcPolicy::insert(const BlockKey& k, bool dirty) {
     if (map_.size() >= 2 * c) drop_ghost_lru(List::kB2);
     if (size() >= c && !replace(false)) return false;
   }
-  t1_.push_front(k);
-  map_.emplace(k, Entry{t1_.begin(), List::kT1, dirty, /*referenced=*/!dirty});
+  Entry e;
+  e.dirty = dirty;
+  e.referenced = !dirty;
+  admit(e, k, List::kT1);
+  map_.emplace(k, e);
   return true;
 }
 

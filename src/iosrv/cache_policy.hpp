@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <map>
 #include <memory>
 #include <string_view>
 #include <unordered_map>
@@ -54,6 +55,15 @@ struct BlockKeyHash {
     return static_cast<std::size_t>(mix(mix(k.file) ^ k.block));
   }
 };
+
+/// The CLEAN (evictable) residents of one recency list, keyed by a
+/// stamp the policy bumps on every move to the list's MRU end.  Every
+/// list move is to the MRU end, so ascending stamp order IS the list's
+/// LRU-to-MRU order and begin() is the block a scan from the LRU end
+/// would stop at — found without stepping over any pinned dirty block.
+/// Moves re-key the existing node (extract + end-hinted insert: no
+/// allocation, amortized O(1)); only mark_clean() inserts mid-order.
+using CleanIndex = std::map<std::uint64_t, BlockKey>;
 
 class CachePolicy {
  public:
@@ -142,14 +152,18 @@ class LruPolicy final : public CachePolicy {
 
  private:
   struct Entry {
-    std::list<BlockKey>::iterator lru_pos;
+    std::uint64_t stamp;          // recency: larger is more recent
+    CleanIndex::iterator clean;   // valid iff !dirty
     bool dirty;
   };
 
+  /// Move a resident entry to the MRU end.
+  void touch(Entry& e);
   bool evict_one_clean();
 
-  std::list<BlockKey> lru_;
   std::unordered_map<BlockKey, Entry, BlockKeyHash> map_;
+  CleanIndex clean_;
+  std::uint64_t clock_ = 0;
 };
 
 /// ARC (adaptive replacement cache) with dirty pinning.  Residents live
@@ -178,7 +192,9 @@ class ArcPolicy final : public CachePolicy {
       : CachePolicy(capacity_blocks) {}
 
   std::string_view name() const noexcept override { return "arc"; }
-  std::size_t size() const noexcept override { return t1_.size() + t2_.size(); }
+  std::size_t size() const noexcept override {
+    return resident_[0] + resident_[1];
+  }
   bool lookup(const BlockKey& k) override;
   bool contains(const BlockKey& k) const override;
   bool is_dirty(const BlockKey& k) const override;
@@ -188,17 +204,22 @@ class ArcPolicy final : public CachePolicy {
 
   /// Adaptation target for |T1| (test/diagnostic).
   double p() const noexcept { return p_; }
-  std::size_t t1_size() const noexcept { return t1_.size(); }
-  std::size_t t2_size() const noexcept { return t2_.size(); }
+  std::size_t t1_size() const noexcept { return resident_[0]; }
+  std::size_t t2_size() const noexcept { return resident_[1]; }
   std::size_t b1_size() const noexcept { return b1_.size(); }
   std::size_t b2_size() const noexcept { return b2_.size(); }
 
  private:
+  // Residents (T1/T2) are ordered by stamp alone — a count plus the
+  // clean index per list; ghosts (B1/B2) keep real lists, since their
+  // LRU end is dropped unconditionally.
   enum class List : std::uint8_t { kT1, kT2, kB1, kB2 };
 
   struct Entry {
-    std::list<BlockKey>::iterator pos;
-    List list;
+    std::list<BlockKey>::iterator pos;  // ghosts only
+    CleanIndex::iterator clean;         // clean residents only
+    std::uint64_t stamp = 0;            // residents: recency
+    List list = List::kT1;
     bool dirty = false;
     /// True once the block has a demand-read reference behind it (a
     /// clean insert is one; a dirty insert is not).  Gates promotion:
@@ -206,20 +227,25 @@ class ArcPolicy final : public CachePolicy {
     bool referenced = false;
   };
 
-  std::list<BlockKey>& list_of(List l) noexcept {
-    switch (l) {
-      case List::kT1: return t1_;
-      case List::kT2: return t2_;
-      case List::kB1: return b1_;
-      default: return b2_;
-    }
+  static bool resident(List l) noexcept {
+    return l == List::kT1 || l == List::kT2;
+  }
+  static std::size_t slot(List l) noexcept {
+    return static_cast<std::size_t>(l);
+  }
+  std::list<BlockKey>& ghost_list(List l) noexcept {
+    return l == List::kB1 ? b1_ : b2_;
   }
 
   /// Nudge `p` toward the list whose ghost was hit (B1 hit: grow T1's
   /// target; B2 hit: shrink it).
   void adapt(bool in_b2);
-  /// Move a resident entry to the MRU end of T2 (a repeated reference).
-  void promote(Entry& e, const BlockKey& k);
+  /// Make a non-resident entry (new, or leaving a ghost list) the MRU
+  /// resident of `to`.
+  void admit(Entry& e, const BlockKey& k, List to);
+  /// Move a resident entry to the MRU end of `to` (its own list for a
+  /// recency refresh, T2 for a promotion).
+  void move_to_mru(Entry& e, List to);
   /// Demote one unpinned resident to its ghost list per the ARC REPLACE
   /// rule (ghost_hit_in_b2 biases toward evicting from T1 at |T1|==p).
   /// Returns false when every resident block is pinned.
@@ -229,8 +255,11 @@ class ArcPolicy final : public CachePolicy {
   bool evict_from(List from, const List* ghost);
   void drop_ghost_lru(List ghost);
 
-  std::list<BlockKey> t1_, t2_, b1_, b2_;
+  std::size_t resident_[2] = {0, 0};  // |T1|, |T2| (pinned included)
+  CleanIndex clean_[2];               // clean residents of T1, T2
+  std::list<BlockKey> b1_, b2_;
   std::unordered_map<BlockKey, Entry, BlockKeyHash> map_;
+  std::uint64_t clock_ = 0;
   double p_ = 0.0;
 };
 

@@ -1,6 +1,6 @@
 #include "pfs/diskarm.hpp"
 
-#include <algorithm>
+#include <iterator>
 #include <limits>
 
 namespace pfs {
@@ -38,82 +38,55 @@ simkit::Task<void> DiskArm::serve(std::uint64_t phys, std::uint64_t len,
   release();
 }
 
-std::size_t DiskArm::pick_next() const {
+void DiskArm::enqueue(std::uint64_t phys, std::coroutine_handle<> h) {
+  if (scan_) {
+    by_pos_.emplace(std::pair{phys, next_seq_++}, h);
+  } else {
+    fifo_.push_back(h);
+  }
+}
+
+std::coroutine_handle<> DiskArm::pop_next() {
   if (!scan_) {
     // FIFO: oldest arrival.
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < queue_.size(); ++i) {
-      if (queue_[i].seq < queue_[best].seq) best = i;
+    const auto h = fifo_[fifo_head_++];
+    if (fifo_head_ == fifo_.size()) {
+      fifo_.clear();
+      fifo_head_ = 0;
+    } else if (fifo_head_ >= 64 && fifo_head_ * 2 >= fifo_.size()) {
+      fifo_.erase(fifo_.begin(),
+                  fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
+      fifo_head_ = 0;
     }
-    return best;
+    return h;
   }
-  // SCAN: nearest request at/above the head in the sweep direction;
-  // reverse at the edge.
+  // SCAN: nearest request at/above the head when sweeping up (at/below
+  // when sweeping down), the oldest arrival among equal positions;
+  // reverse at the edge when nothing remains ahead.
   const std::uint64_t head = model_.head_position();
-  std::size_t best = queue_.size();
-  if (sweep_up_) {
-    std::uint64_t best_pos = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      if (queue_[i].phys >= head && queue_[i].phys < best_pos) {
-        best_pos = queue_[i].phys;
-        best = i;
-      }
-    }
-    if (best != queue_.size()) return best;
-    // Edge: reverse — farthest-down request first (sweep back).
-    std::uint64_t max_pos = 0;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      if (queue_[i].phys >= max_pos) {  // >=: pick something even at 0
-        max_pos = queue_[i].phys;
-        best = i;
-      }
-    }
-    return best;
+  const auto up = by_pos_.lower_bound({head, 0});
+  const bool any_up = up != by_pos_.end();
+  const bool any_down = by_pos_.begin()->first.first <= head;
+  if (sweep_up_ && !any_up) sweep_up_ = false;
+  if (!sweep_up_ && !any_down) sweep_up_ = true;
+  auto next = up;
+  if (!sweep_up_) {
+    // Highest position <= head, then its oldest arrival.
+    const std::uint64_t pos = std::prev(by_pos_.upper_bound(
+        {head, std::numeric_limits<std::uint64_t>::max()}))->first.first;
+    next = by_pos_.lower_bound({pos, 0});
   }
-  std::uint64_t best_pos = 0;
-  bool found = false;
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (queue_[i].phys <= head &&
-        (!found || queue_[i].phys > best_pos)) {
-      best_pos = queue_[i].phys;
-      best = i;
-      found = true;
-    }
-  }
-  if (found) return best;
-  std::uint64_t min_pos = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (queue_[i].phys <= min_pos) {
-      min_pos = queue_[i].phys;
-      best = i;
-    }
-  }
-  return best;
+  const auto h = next->second;
+  by_pos_.erase(next);
+  return h;
 }
 
 void DiskArm::release() {
-  if (queue_.empty()) {
+  if (queue_length() == 0) {
     busy_ = false;
     return;
   }
-  if (scan_) {
-    // Direction bookkeeping: flip when no request remains ahead.
-    const std::uint64_t head = model_.head_position();
-    const bool any_up = std::any_of(queue_.begin(), queue_.end(),
-                                    [&](const Waiter& w) {
-                                      return w.phys >= head;
-                                    });
-    const bool any_down = std::any_of(queue_.begin(), queue_.end(),
-                                      [&](const Waiter& w) {
-                                        return w.phys <= head;
-                                      });
-    if (sweep_up_ && !any_up && any_down) sweep_up_ = false;
-    if (!sweep_up_ && !any_down && any_up) sweep_up_ = true;
-  }
-  const std::size_t next = pick_next();
-  const auto h = queue_[next].h;
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(next));
-  eng_.schedule_at(eng_.now(), h);
+  eng_.schedule_at(eng_.now(), pop_next());
 }
 
 }  // namespace pfs

@@ -10,6 +10,8 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "hw/disk.hpp"
@@ -34,15 +36,11 @@ class DiskArm {
   /// Fault-injection needs to stretch service times on a live arm.
   hw::DiskModel& mutable_model() noexcept { return model_; }
   std::uint64_t services() const noexcept { return services_; }
-  std::size_t queue_length() const noexcept { return queue_.size(); }
+  std::size_t queue_length() const noexcept {
+    return scan_ ? by_pos_.size() : fifo_.size() - fifo_head_;
+  }
 
  private:
-  struct Waiter {
-    std::uint64_t phys;
-    std::uint64_t seq;
-    std::coroutine_handle<> h;
-  };
-
   struct Acquire {
     DiskArm& arm;
     std::uint64_t phys;
@@ -53,14 +51,15 @@ class DiskArm {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      arm.queue_.push_back(Waiter{phys, arm.next_seq_++, h});
-    }
+    void await_suspend(std::coroutine_handle<> h) { arm.enqueue(phys, h); }
     void await_resume() const noexcept {}
   };
 
+  void enqueue(std::uint64_t phys, std::coroutine_handle<> h);
   void release();
-  std::size_t pick_next() const;
+  /// Remove and return the next waiter in service order.  Pre: a
+  /// waiter is queued.
+  std::coroutine_handle<> pop_next();
 
   simkit::Engine& eng_;
   hw::DiskModel model_;
@@ -75,7 +74,15 @@ class DiskArm {
   bool sweep_up_ = true;
   std::uint64_t next_seq_ = 0;
   std::uint64_t services_ = 0;
-  std::vector<Waiter> queue_;
+  // FIFO waiters in arrival order; entries before fifo_head_ are served
+  // (compacted once they are half the vector).
+  std::vector<std::coroutine_handle<>> fifo_;
+  std::size_t fifo_head_ = 0;
+  // SCAN waiters by (position, arrival seq): within one position the
+  // oldest arrival is served first.  Neither container allocates until
+  // the first request queues.
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::coroutine_handle<>>
+      by_pos_;
 };
 
 }  // namespace pfs

@@ -467,8 +467,7 @@ PlatformReport run(hw::Machine& machine, pfs::StripedFs& fs,
     eng.spawn(submitter(st), "sched.submitter");
     // Step, don't run: a full drain would also consume every fault edge
     // scheduled past the last job and fling the clock to the plan horizon.
-    while (st.unfinished > 0 && eng.step()) {
-    }
+    eng.run_while([&] { return st.unfinished > 0; });
   }
 
   PlatformReport rep;

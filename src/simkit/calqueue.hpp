@@ -33,43 +33,6 @@
 
 namespace simkit {
 
-/// The engine's previous scheduler, kept as an A/B reference: build
-/// with -DSIMKIT_HEAP_QUEUE to swap it back in (see bench/baseline/
-/// README.md for the scheduler-isolated comparison procedure).  Same
-/// interface and the same exact (t, seq) pop order as CalendarQueue.
-template <class Payload>
-class HeapQueue {
- public:
-  struct Ev {
-    Time t;
-    std::uint64_t seq;
-    Payload payload;
-  };
-
-  bool empty() const noexcept { return v_.empty(); }
-  std::size_t size() const noexcept { return v_.size(); }
-
-  void push(Time t, std::uint64_t seq, Payload payload) {
-    v_.push_back(Ev{t, seq, payload});
-    std::push_heap(v_.begin(), v_.end(), Cmp{});
-  }
-  const Ev& peek() const { return v_.front(); }
-  Ev pop() {
-    std::pop_heap(v_.begin(), v_.end(), Cmp{});
-    Ev ev = v_.back();
-    v_.pop_back();
-    return ev;
-  }
-
- private:
-  struct Cmp {
-    bool operator()(const Ev& a, const Ev& b) const noexcept {
-      return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-    }
-  };
-  std::vector<Ev> v_;
-};
-
 template <class Payload>
 class CalendarQueue {
  public:
@@ -204,13 +167,15 @@ class CalendarQueue {
                idx_of(b.v[b.head].t) == cur_idx_);
       if (b.head == b.v.size()) {
         b.v.clear();
-        b.head = 0;
+        b.head = b.sorted_end = 0;
       } else if (b.head >= 64 && b.head * 2 >= b.v.size()) {
         // Compact a long-consumed prefix so a bucket holding far-future
-        // stragglers does not grow without bound.
+        // stragglers does not grow without bound.  (Read buckets are
+        // tidy, so the whole remainder is the sorted prefix.)
         b.v.erase(b.v.begin(),
                   b.v.begin() + static_cast<std::ptrdiff_t>(b.head));
         b.head = 0;
+        b.sorted_end = b.v.size();
       }
     }
     for (int i = 0; i < m; ++i) front_[m - 1 - i] = tmp[i];
@@ -229,7 +194,9 @@ class CalendarQueue {
   struct Bucket {
     std::vector<Ev> v;
     std::size_t head = 0;  // elements before head have been popped
-    bool dirty = false;    // live range not sorted; tidy() before reading
+    // [head, sorted_end) is sorted; a later element is an unsorted
+    // arrival that tidy() merges in before the bucket is read.
+    std::size_t sorted_end = 0;
   };
   struct HeapCmp {  // std:: heap is a max-heap; invert for min-(t, seq)
     bool operator()(const Ev& a, const Ev& b) const noexcept {
@@ -296,26 +263,45 @@ class CalendarQueue {
     ++cal_size_;
     if (idx < cur_idx_) cur_idx_ = idx;  // re-anchor the scan position
     Bucket& b = buckets_[idx & mask_];
-    // Push is append-only: out-of-order arrivals just mark the bucket
-    // dirty and the pop-side scan sorts the live range on first visit
-    // (tidy()).  Keeping the insert position search and memmove off
-    // the push path matters — the bucket is usually cache-cold, and a
-    // sorted insert touches all of it.
-    if (!b.v.empty() && !ev_less(b.v.back(), ev)) b.dirty = true;
+    // Push is append-only: an in-order arrival extends the sorted
+    // prefix, anything else joins the unsorted tail that the pop-side
+    // scan merges in on its next visit (tidy()).  Keeping the insert
+    // position search and memmove off the push path matters — the
+    // bucket is usually cache-cold, and a sorted insert touches all of
+    // it.
+    if (b.sorted_end == b.v.size() &&
+        (b.v.empty() || ev_less(b.v.back(), ev))) {
+      ++b.sorted_end;
+    }
     b.v.push_back(ev);
     if (cal_size_ > peak_cal_) peak_cal_ = cal_size_;
   }
 
-  /// Sort a bucket's live range if it has unsorted arrivals.  Buckets
-  /// stay small (the crowd trigger in push() rebuilds before any bucket
-  /// hoards a meaningful share of the population), so the sort is a few
-  /// cache lines that the caller is about to read anyway.
+  /// Restore a bucket's sorted order after unsorted arrivals: sort only
+  /// the appended tail, then merge it into the sorted prefix from the
+  /// back, so prefix events that order before the whole tail never move.
+  /// A same-instant grant storm appending to a large live bucket
+  /// between pops therefore costs O(tail log tail + displaced), not a
+  /// re-sort of the whole bucket.  (t, seq) is a strict total order, so
+  /// the result is the one sorted order.
   void tidy(Bucket& b) {
-    if (b.dirty) {
-      std::sort(b.v.begin() + static_cast<std::ptrdiff_t>(b.head), b.v.end(),
-                ev_less);
-      b.dirty = false;
+    const std::size_t n = b.v.size();
+    if (b.sorted_end == n) return;
+    assert(b.sorted_end >= b.head);
+    const auto mid = b.v.begin() + static_cast<std::ptrdiff_t>(b.sorted_end);
+    std::sort(mid, b.v.end(), ev_less);
+    merge_tmp_.assign(mid, b.v.end());
+    std::size_t i = b.sorted_end;  // prefix elements left: [head, i)
+    std::size_t j = merge_tmp_.size();
+    std::size_t out = n;
+    while (j > 0) {
+      if (i > b.head && ev_less(merge_tmp_[j - 1], b.v[i - 1])) {
+        b.v[--out] = b.v[--i];
+      } else {
+        b.v[--out] = merge_tmp_[--j];
+      }
     }
+    b.sorted_end = n;
   }
 
   /// Advance the horizon as the scan position moves forward, migrating
@@ -424,7 +410,7 @@ class CalendarQueue {
       live.insert(live.end(),
                   b.v.begin() + static_cast<std::ptrdiff_t>(b.head), b.v.end());
       b.v.clear();
-      b.head = 0;
+      b.head = b.sorted_end = 0;
     }
     const double width =
         force_width > 0.0 ? force_width : estimate_width(live);
@@ -488,6 +474,7 @@ class CalendarQueue {
   std::size_t overload_cooldown_ = 0;
   std::uint64_t churn_ = 0;  // overflow->calendar migrations since rebuild
   int sparse_rotations_ = 0;
+  std::vector<Ev> merge_tmp_;     // tidy() scratch: the sorted tail
   Bucket* loc_bucket_ = nullptr;  // locate() result: minimum's bucket
   bool loc_overflow_ = false;     // locate() result: serve overflow top
   static constexpr int kFront = 16;

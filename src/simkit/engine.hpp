@@ -227,7 +227,20 @@ class Engine {
   bool run_until(Time deadline);
 
   /// Process a single event; returns false if the queue is empty.
+  /// Does not surface failed processes (run, run_until and run_while
+  /// do).
   bool step();
+
+  /// Step while `keep_going()` holds and events remain.  Throws
+  /// UnhandledProcessError like run().  For drivers that must stop at a
+  /// condition rather than drain the queue (a full drain would also
+  /// consume future fault edges and fling the clock to their horizon).
+  template <class Pred>
+  void run_while(Pred keep_going) {
+    while (keep_going() && step()) {
+    }
+    check_failures();
+  }
 
   bool idle() const noexcept { return queue_.empty(); }
 
@@ -239,13 +252,7 @@ class Engine {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t clamped_ = 0;
-#ifdef SIMKIT_HEAP_QUEUE
-  // A/B reference build: the pre-calendar binary-heap scheduler, for
-  // scheduler-isolated benchmarking (bench/baseline/README.md).
-  HeapQueue<std::coroutine_handle<>> queue_;
-#else
   CalendarQueue<std::coroutine_handle<>> queue_;
-#endif
   std::vector<detail::ProcState*> failed_;  // each entry holds a ref
 };
 

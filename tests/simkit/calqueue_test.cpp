@@ -208,5 +208,25 @@ TEST(CalendarQueue, BurstDrainCyclesExerciseShrink) {
   h.drain_and_compare();
 }
 
+TEST(CalendarQueue, HotBucketMergesArrivalsBetweenPops) {
+  // FIFO grant storm: thousands of waiters released at one instant pile
+  // into one bucket, and between pops each grant pushes a same-instant
+  // event and one earlier than the bucket's tail (but not before now).
+  // Every visit then merges a short unsorted tail into a large sorted
+  // prefix; the pop order must still be exactly the reference's.
+  Harness h;
+  simkit::Rng rng(99);
+  const double t0 = 1e-4;
+  int payload = 0;
+  for (int i = 0; i < 4000; ++i) h.push(t0, ++payload);
+  for (int i = 0; i < 64; ++i) h.push(t0 + 1e-7 * rng.uniform(), ++payload);
+  for (int step = 0; step < 40000; ++step) {
+    const Time now = h.pop_both();
+    if (rng.uniform() < 0.5) h.push(now, ++payload);
+    if (rng.uniform() < 0.49) h.push(now + 1e-8 * rng.uniform(), ++payload);
+  }
+  h.drain_and_compare();
+}
+
 }  // namespace
 }  // namespace simkit

@@ -113,6 +113,41 @@ TEST(Engine, UnjoinedFailureSurfacesFromRun) {
   EXPECT_THROW(eng.run(), UnhandledProcessError);
 }
 
+TEST(Engine, UnjoinedFailureSurfacesFromRunWhile) {
+  // A condition-driven loop (the platform and restart drivers) must not
+  // drop a failure the way a bare step() loop does.
+  Engine eng;
+  bool finished = false;
+  eng.spawn([](Engine& e) -> Task<void> {
+    co_await e.delay(1.0);
+    throw std::runtime_error("boom");
+  }(eng), "bomber");
+  eng.spawn([](Engine& e, bool& f) -> Task<void> {
+    co_await e.delay(2.0);
+    f = true;
+  }(eng, finished));
+  try {
+    eng.run_while([&] { return !finished; });
+    FAIL() << "run_while dropped the failure";
+  } catch (const UnhandledProcessError& err) {
+    EXPECT_EQ(err.process_name(), "bomber");
+  }
+  EXPECT_TRUE(finished);
+  EXPECT_DOUBLE_EQ(eng.now(), 2.0);
+}
+
+TEST(Engine, RunWhileStopsAtTheCondition) {
+  Engine eng;
+  std::vector<double> log;
+  eng.spawn(record_at(eng, 1.0, log, 1.0));
+  eng.spawn(record_at(eng, 10.0, log, 10.0));
+  eng.run_while([&] { return log.empty(); });  // no failure: no throw
+  EXPECT_EQ(log, (std::vector<double>{1.0, 1.0}));  // tag, time
+  EXPECT_DOUBLE_EQ(eng.now(), 1.0);
+  EXPECT_FALSE(eng.idle());
+  eng.run();  // drain the pending event so its frame is freed
+}
+
 TEST(Engine, JoinedFailureRethrowsInJoiner) {
   Engine eng;
   auto bad = eng.spawn([](Engine& e) -> Task<void> {
