@@ -1,5 +1,5 @@
-// exp/options.hpp — shared command-line handling for the scenario
-// driver (`iosim`) and the bench-name alias binaries.
+// exp/options.hpp — command-line handling for the scenario driver
+// (`iosim run`).
 //
 // Every scenario accepts:
 //   --full         paper-sized op counts (default is a scaled-down run)

@@ -8,7 +8,7 @@
 namespace expt {
 
 /// Column-aligned text table with a markdown-ish rendering, used by every
-/// bench binary to print the paper's tables/figure series.
+/// scenario to print the paper's tables/figure series.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers)

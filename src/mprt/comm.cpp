@@ -99,7 +99,7 @@ Cluster::Cluster(hw::Machine& machine, int nprocs) : machine_(machine) {
 }
 
 simkit::Task<void> Cluster::run(
-    const std::function<simkit::Task<void>(Comm&)>& body) {
+    std::function<simkit::Task<void>(Comm&)> body) {
   std::vector<simkit::Task<void>> ranks;
   ranks.reserve(comms_.size());
   for (auto& c : comms_) ranks.push_back(body(*c));

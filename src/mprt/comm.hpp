@@ -135,9 +135,10 @@ class Cluster {
   simkit::Engine& engine() noexcept { return machine_.engine(); }
   Comm& comm(Rank r) { return *comms_.at(static_cast<std::size_t>(r)); }
 
-  /// Spawn `body(comm)` on every rank and wait for all of them.
-  simkit::Task<void> run(
-      const std::function<simkit::Task<void>(Comm&)>& body);
+  /// Spawn `body(comm)` on every rank and wait for all of them.  `body`
+  /// is taken by value: the coroutine frame owns it, so a temporary
+  /// lambda outlives the caller's full-expression.
+  simkit::Task<void> run(std::function<simkit::Task<void>(Comm&)> body);
 
   /// Convenience: build the cluster, run one program, drive the engine.
   /// Returns the simulated completion time.

@@ -4,8 +4,8 @@
 // default, and the conservative model used for the paper reproduction)
 // seeks wherever the next arrival points; SCAN sweeps the arm across the
 // platter serving requests in position order, the classic elevator
-// algorithm real file servers used.  bench_ablation_scan quantifies the
-// difference on the paper's scattered-access patterns.
+// algorithm real file servers used.  `iosim run ablation_scan` quantifies
+// the difference on the paper's scattered-access patterns.
 #pragma once
 
 #include <coroutine>

@@ -18,7 +18,7 @@ void print_usage(const char* argv0) {
       "       %s run <name>... | --all  [flags]\n"
       "\n"
       "One driver for every paper table/figure/ablation scenario.\n"
-      "Run flags (also accepted by the bench_* alias binaries):\n"
+      "Run flags:\n"
       "  --full              paper-sized op counts\n"
       "  --scale=X           explicit volume/dump scale factor\n"
       "  --check             exit non-zero if a paper shape fails\n"
@@ -91,19 +91,6 @@ int iosim_main(int argc, char** argv) {
     return 2;
   }
   return run_scenarios(specs, opt);
-}
-
-int alias_main(const char* scenario_name, int argc, char** argv) {
-  const Spec* s = Registry::global().find(scenario_name);
-  if (s == nullptr) return unknown_scenario(scenario_name);
-  expt::Options opt(s->default_scale);
-  opt.parse(argc, argv);
-  if (!opt.error.empty()) {
-    std::fprintf(stderr, "%s: %s\n", scenario_name, opt.error.c_str());
-    return 2;
-  }
-  opt.scale_given = true;  // default already resolved from the spec
-  return run_scenarios({s}, opt);
 }
 
 }  // namespace scenario
