@@ -12,6 +12,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "simkit/engine.hpp"
@@ -106,16 +107,30 @@ class Network {
 
   /// Timed transfer of `bytes` from `src` to `dst` with NIC contention.
   /// Local transfers pay only the software overhead and one memcpy-rate
-  /// serialization.
+  /// serialization.  Throws std::out_of_range (when awaited) on a node id
+  /// outside the machine.
+  ///
+  /// Each NIC is held inline (acquire, delay, release), not through a
+  /// Resource::use_for sub-task: the schedule calls are the same either
+  /// way, and a sub-task frame per hop is pure host cost on every
+  /// message.  The frame keeps no locals across its suspensions — every
+  /// transfer in flight pays for its frame size.
   simkit::Task<void> transfer(NodeId src, NodeId dst, std::uint64_t bytes) {
+    if (src >= nics_.size() || dst >= nics_.size()) {
+      throw std::out_of_range("hw::Network::transfer: unknown node id");
+    }
     co_await eng_.delay(simkit::microseconds(p_.sw_overhead_us));
     if (src == dst) {
       co_await eng_.delay(serialization(bytes));
       co_return;
     }
-    co_await nics_.at(src)->use_for(serialization(bytes));
+    co_await nics_[src]->acquire();
+    co_await eng_.delay(serialization(bytes));
+    nics_[src]->release();
     co_await eng_.delay(propagation(src, dst));
-    co_await nics_.at(dst)->use_for(serialization(bytes));
+    co_await nics_[dst]->acquire();
+    co_await eng_.delay(serialization(bytes));
+    nics_[dst]->release();
   }
 
   simkit::Duration serialization(std::uint64_t bytes) const {

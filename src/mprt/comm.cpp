@@ -54,7 +54,7 @@ simkit::ProcHandle Comm::isend(Rank dst, int tag, std::uint64_t bytes,
 void Comm::deliver(Message m) {
   for (auto it = recvers_.begin(); it != recvers_.end(); ++it) {
     if (matches(m, it->src, it->tag)) {
-      it->slot->emplace(std::move(m));
+      *it->slot = std::move(m);
       engine().schedule_at(engine().now(), it->h);
       recvers_.erase(it);
       return;
@@ -63,27 +63,20 @@ void Comm::deliver(Message m) {
   mailbox_.push_back(std::move(m));
 }
 
-simkit::Task<Message> Comm::recv(Rank src, int tag) {
-  // Fast path: already in the mailbox.
-  for (auto it = mailbox_.begin(); it != mailbox_.end(); ++it) {
-    if (matches(*it, src, tag)) {
-      Message m = std::move(*it);
-      mailbox_.erase(it);
-      co_return m;
+bool Comm::RecvAwaiter::await_ready() {
+  auto& box = comm_.mailbox_;
+  for (auto it = box.begin(); it != box.end(); ++it) {
+    if (matches(*it, src_, tag_)) {
+      msg_ = std::move(*it);
+      box.erase(it);
+      return true;
     }
   }
-  struct RecvAwaiter {
-    Comm& comm;
-    Rank src;
-    int tag;
-    std::optional<Message> slot;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      comm.recvers_.push_back(PendingRecv{src, tag, &slot, h});
-    }
-    Message await_resume() { return std::move(*slot); }
-  };
-  co_return co_await RecvAwaiter{*this, src, tag, std::nullopt};
+  return false;
+}
+
+void Comm::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
+  comm_.recvers_.push_back(PendingRecv{src_, tag_, &msg_, h});
 }
 
 Cluster::Cluster(hw::Machine& machine, int nprocs) : machine_(machine) {

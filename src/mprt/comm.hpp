@@ -16,7 +16,6 @@
 #include <map>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -75,8 +74,31 @@ class Comm {
   simkit::Task<void> send(Rank dst, int tag, std::uint64_t bytes,
                           std::span<const std::byte> payload = {});
 
-  /// Receive the first matching message (FIFO per matching stream).
-  simkit::Task<Message> recv(Rank src = kAnySource, int tag = kAnyTag);
+  /// Awaitable returned by recv().  Frameless: a message already in the
+  /// mailbox is taken in await_ready without suspending; otherwise the
+  /// caller is parked on the receive queue and deliver() moves the
+  /// message into the awaiter and resumes the caller directly.
+  class [[nodiscard]] RecvAwaiter {
+   public:
+    bool await_ready();
+    void await_suspend(std::coroutine_handle<> h);
+    Message await_resume() noexcept { return std::move(msg_); }
+
+   private:
+    friend class Comm;
+    RecvAwaiter(Comm& comm, Rank src, int tag)
+        : comm_(comm), src_(src), tag_(tag) {}
+    Comm& comm_;
+    Rank src_;
+    int tag_;
+    Message msg_;
+  };
+
+  /// Receive the first matching message (FIFO per matching stream):
+  /// `Message m = co_await c.recv(src, tag);`.
+  RecvAwaiter recv(Rank src = kAnySource, int tag = kAnyTag) {
+    return RecvAwaiter(*this, src, tag);
+  }
 
   /// Nonblocking send: returns immediately with a handle; join it (or use
   /// waitall) to wait for the network transfer to complete.  Payload
@@ -110,7 +132,7 @@ class Comm {
   struct PendingRecv {
     Rank src;
     int tag;
-    std::optional<Message>* slot;
+    Message* slot;
     std::coroutine_handle<> h;
   };
 

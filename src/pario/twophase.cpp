@@ -45,33 +45,37 @@ std::vector<std::byte> serialize_extents(const std::vector<Extent>& v) {
   return out;
 }
 
-std::vector<Extent> deserialize_extents(std::span<const std::byte> bytes) {
-  std::vector<Extent> v(bytes.size() / 16);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    std::uint64_t pair[2];
-    std::memcpy(pair, bytes.data() + i * 16, 16);
-    v[i] = Extent{pair[0], pair[1], 0};
-  }
-  return v;
-}
+/// Every rank's piece list, flattened: source s's pieces are
+/// ext[off[s], off[s+1]).  buf_offset is 0 throughout — only file ranges
+/// cross the wire, and only file ranges are read from the table.
+struct ExtentTable {
+  std::vector<Extent> ext;
+  std::vector<std::size_t> off;  // P + 1 entries
 
-simkit::Task<std::vector<std::vector<Extent>>> allgather_extents(
-    mprt::Comm& c, const std::vector<Extent>& mine) {
+  std::span<const Extent> of(int s) const {
+    const auto su = static_cast<std::size_t>(s);
+    return std::span<const Extent>(ext).subspan(off[su],
+                                                 off[su + 1] - off[su]);
+  }
+};
+
+simkit::Task<ExtentTable> allgather_extents(mprt::Comm& c,
+                                            const std::vector<Extent>& mine) {
   const int p = c.size();
+  const auto pu = static_cast<std::size_t>(p);
   auto my_bytes = serialize_extents(mine);
   auto gathered = co_await mprt::gatherv(c, 0, my_bytes.size(), my_bytes);
 
   // Root concatenates [P x u64 counts][all extent pairs] and broadcasts.
   std::vector<std::byte> table;
   if (c.rank() == 0) {
-    table.resize(static_cast<std::size_t>(p) * 8);
-    for (int r = 0; r < p; ++r) {
-      const std::uint64_t n = gathered[static_cast<std::size_t>(r)].payload
-                                  .size() / 16;
-      std::memcpy(table.data() + static_cast<std::size_t>(r) * 8, &n, 8);
+    table.resize(pu * 8);
+    for (std::size_t r = 0; r < pu; ++r) {
+      const std::uint64_t n = gathered[r].payload.size() / 16;
+      std::memcpy(table.data() + r * 8, &n, 8);
     }
-    for (int r = 0; r < p; ++r) {
-      auto& pay = gathered[static_cast<std::size_t>(r)].payload;
+    for (std::size_t r = 0; r < pu; ++r) {
+      const auto& pay = gathered[r].payload;
       table.insert(table.end(), pay.begin(), pay.end());
     }
   }
@@ -82,16 +86,52 @@ simkit::Task<std::vector<std::vector<Extent>>> allgather_extents(
   table.resize(table_size);
   co_await mprt::bcast(c, 0, table_size, table);
 
-  std::vector<std::vector<Extent>> all(static_cast<std::size_t>(p));
-  std::size_t cursor = static_cast<std::size_t>(p) * 8;
-  for (int r = 0; r < p; ++r) {
+  ExtentTable all;
+  all.off.resize(pu + 1);
+  for (std::size_t r = 0; r < pu; ++r) {
     std::uint64_t n = 0;
-    std::memcpy(&n, table.data() + static_cast<std::size_t>(r) * 8, 8);
-    all[static_cast<std::size_t>(r)] = deserialize_extents(
-        std::span<const std::byte>(table).subspan(cursor, n * 16));
-    cursor += n * 16;
+    std::memcpy(&n, table.data() + r * 8, 8);
+    all.off[r + 1] = all.off[r] + static_cast<std::size_t>(n);
+  }
+  all.ext.resize(all.off[pu]);
+  const std::byte* pairs = table.data() + pu * 8;
+  for (std::size_t i = 0; i < all.ext.size(); ++i) {
+    std::uint64_t pair[2];
+    std::memcpy(pair, pairs + i * 16, 16);
+    all.ext[i] = Extent{pair[0], pair[1], 0};
   }
   co_return all;
+}
+
+/// Append the intersections of (sorted) `pieces` with [lo, hi) to `out`,
+/// preserving order and buffer mapping.  The one intersection routine:
+/// TwoPhase::intersect wraps it, and the collective loops call it on
+/// reused scratch.
+void append_intersection(std::span<const Extent> pieces, std::uint64_t lo,
+                         std::uint64_t hi, std::vector<Extent>& out) {
+  for (const auto& e : pieces) {
+    const std::uint64_t s = std::max(e.file_offset, lo);
+    const std::uint64_t t = std::min(e.file_end(), hi);
+    if (s < t) {
+      out.push_back(Extent{s, t - s, e.buf_offset + (s - e.file_offset)});
+    }
+  }
+}
+
+/// `out` = pieces ∩ [lo, hi), reusing out's storage.
+void intersect_into(std::span<const Extent> pieces, std::uint64_t lo,
+                    std::uint64_t hi, std::vector<Extent>& out) {
+  out.clear();
+  append_intersection(pieces, lo, hi, out);
+}
+
+/// Index of the run (sorted, disjoint) containing file offset `off`.
+std::size_t run_of(const std::vector<Extent>& runs, std::uint64_t off) {
+  auto it = std::upper_bound(runs.begin(), runs.end(), off,
+                             [](std::uint64_t o, const Extent& r) {
+                               return o < r.file_offset;
+                             });
+  return static_cast<std::size_t>(std::distance(runs.begin(), std::prev(it)));
 }
 
 struct Domains {
@@ -117,14 +157,11 @@ Domains make_domains(std::uint64_t lo, std::uint64_t hi, int p,
   return {lo, chunk, hi};
 }
 
-Domains partition(const std::vector<std::vector<Extent>>& all, int p,
-                  std::uint64_t stripe_unit) {
+Domains partition(const ExtentTable& all, int p, std::uint64_t stripe_unit) {
   std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-  for (const auto& v : all) {
-    for (const auto& e : v) {
-      lo = std::min(lo, e.file_offset);
-      hi = std::max(hi, e.file_end());
-    }
+  for (const auto& e : all.ext) {
+    lo = std::min(lo, e.file_offset);
+    hi = std::max(hi, e.file_end());
   }
   return make_domains(lo, hi, p, stripe_unit);
 }
@@ -173,18 +210,20 @@ std::vector<std::byte> encode_records(const std::vector<Extent>& subs) {
   return out;
 }
 
-std::vector<Extent> decode_records(std::span<const std::byte> pay) {
-  if (pay.size() < 8) return {};
+/// Decode a record frame into `out` (cleared first, storage reused).  A
+/// payload too short to hold its records decodes to none.
+void decode_records(std::span<const std::byte> pay, std::vector<Extent>& out) {
+  out.clear();
+  if (pay.size() < 8) return;
   std::uint64_t n = 0;
   std::memcpy(&n, pay.data(), 8);
-  if (pay.size() < 8 + n * 16) return {};
-  std::vector<Extent> v(static_cast<std::size_t>(n));
-  for (std::size_t i = 0; i < v.size(); ++i) {
+  if (pay.size() < 8 + n * 16) return;
+  out.resize(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < out.size(); ++i) {
     std::uint64_t pair[2];
     std::memcpy(pair, pay.data() + 8 + i * 16, 16);
-    v[i] = Extent{pair[0], pair[1], 0};
+    out[i] = Extent{pair[0], pair[1], 0};
   }
-  return v;
 }
 
 /// Byte offset where data begins inside a records+data payload.
@@ -214,27 +253,32 @@ simkit::Task<void> hier_write(mprt::Comm& comm, pfs::StripedFs& fs,
   if (dom.chunk == 0) co_return;  // reduced bounds: all ranks agree
 
   // ---- exchange phase: records (+ data) to the owning aggregators ------
+  // Records always travel (the aggregators plan their runs from them);
+  // data bytes ride along only when the file keeps them.  The simulated
+  // size counts the data either way.
   const simkit::Time t_x = eng.now();
-  const bool with_data = !local_data.empty();
+  const bool assemble = fs.is_backed(file);
+  const bool with_data = assemble && !local_data.empty();
   std::vector<std::uint64_t> send_bytes(static_cast<std::size_t>(p), 0);
   std::vector<std::vector<std::byte>> payload_store(
-      static_cast<std::size_t>(p));
+      static_cast<std::size_t>(naggs));
   std::vector<std::span<const std::byte>> payload_views(
       static_cast<std::size_t>(p));
+  std::vector<Extent> subs;  // scratch, reused per aggregator
   std::uint64_t packed = 0;
   for (int a = 0; a < naggs; ++a) {
     const auto [dlo, dhi] = dom.of(a);
-    auto subs = TwoPhase::intersect(mine, dlo, dhi);
+    intersect_into(mine, dlo, dhi, subs);
     if (subs.empty()) continue;  // nothing for this aggregator: no message
     const std::uint64_t data_bytes = total_length(subs);
     const auto dst = static_cast<std::size_t>(leaders[a]);
-    auto& buf = payload_store[dst];
+    auto& buf = payload_store[static_cast<std::size_t>(a)];
     buf = encode_records(subs);
     if (with_data) {
       buf.reserve(buf.size() + data_bytes);
-      for (const auto& s : subs) {
-        buf.insert(buf.end(), local_data.begin() + s.buf_offset,
-                   local_data.begin() + s.buf_offset + s.length);
+      for (const auto& sub : subs) {
+        buf.insert(buf.end(), local_data.begin() + sub.buf_offset,
+                   local_data.begin() + sub.buf_offset + sub.length);
       }
     }
     send_bytes[dst] = records_size(subs) + data_bytes;
@@ -242,53 +286,44 @@ simkit::Task<void> hier_write(mprt::Comm& comm, pfs::StripedFs& fs,
     packed += records_size(subs) + data_bytes;
   }
   co_await comm.machine().mem_copy(packed);  // pack pass
-  // Named lvalue: see the GCC 12 note in TwoPhase::write.
-  auto received = co_await mprt::alltoallv(comm, send_bytes, payload_views);
+  auto received = co_await mprt::alltoallv(comm, std::move(send_bytes),
+                                           std::move(payload_views));
 
   // ---- aggregator side: decode records, assemble runs ------------------
-  const bool assemble = fs.is_backed(file);
+  // Each source's records are decoded straight out of its payload: once
+  // to plan the runs, and once more to land the data when the file is
+  // backed.  No per-source record lists are kept.
   const bool is_agg = comm.rank() % width == 0;
   std::vector<Extent> runs;
   std::vector<std::vector<std::byte>> run_bufs;
   std::uint64_t unpacked = 0;
   if (is_agg) {
-    std::vector<std::vector<Extent>> recs(static_cast<std::size_t>(p));
     std::vector<Extent> domain_pieces;
-    for (int s = 0; s < p; ++s) {
-      recs[static_cast<std::size_t>(s)] =
-          decode_records(received[static_cast<std::size_t>(s)].payload);
-      const auto& rr = recs[static_cast<std::size_t>(s)];
-      domain_pieces.insert(domain_pieces.end(), rr.begin(), rr.end());
+    for (const auto& msg : received) {
+      decode_records(msg.payload, subs);
+      domain_pieces.insert(domain_pieces.end(), subs.begin(), subs.end());
     }
-    runs = TwoPhase::merge_runs(domain_pieces);
-    run_bufs.resize(runs.size());
+    unpacked = total_length(domain_pieces);
+    runs = TwoPhase::merge_runs(std::move(domain_pieces));
     if (assemble) {
+      run_bufs.resize(runs.size());
       for (std::size_t i = 0; i < runs.size(); ++i) {
         run_bufs[i].resize(runs[i].length);
       }
-      for (int s = 0; s < p; ++s) {
-        const auto& rr = recs[static_cast<std::size_t>(s)];
-        const auto& pay = received[static_cast<std::size_t>(s)].payload;
-        std::size_t cursor = records_size(rr);  // data follows records
-        for (const auto& sub : rr) {
-          auto it = std::upper_bound(
-              runs.begin(), runs.end(), sub.file_offset,
-              [](std::uint64_t off, const Extent& r) {
-                return off < r.file_offset;
-              });
-          const auto run_idx = static_cast<std::size_t>(
-              std::distance(runs.begin(), std::prev(it)));
+      for (const auto& msg : received) {
+        const auto& pay = msg.payload;
+        decode_records(pay, subs);
+        std::size_t cursor = records_size(subs);  // data follows records
+        for (const auto& sub : subs) {
+          const std::size_t ri = run_of(runs, sub.file_offset);
           if (pay.size() >= cursor + sub.length) {
-            std::memcpy(run_bufs[run_idx].data() +
-                            (sub.file_offset - runs[run_idx].file_offset),
+            std::memcpy(run_bufs[ri].data() +
+                            (sub.file_offset - runs[ri].file_offset),
                         pay.data() + cursor, sub.length);
           }
           cursor += sub.length;
-          unpacked += sub.length;
         }
       }
-    } else {
-      for (const auto& rr : recs) unpacked += total_length(rr);
     }
   }
   co_await comm.machine().mem_copy(unpacked);  // unpack pass
@@ -358,40 +393,46 @@ simkit::Task<void> hier_read(mprt::Comm& comm, pfs::StripedFs& fs,
   const simkit::Time t_req = eng.now();
   std::vector<std::vector<Extent>> my_subs(static_cast<std::size_t>(naggs));
   std::vector<std::uint64_t> req_bytes(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::byte>> req_store(static_cast<std::size_t>(p));
+  std::vector<std::vector<std::byte>> req_store(
+      static_cast<std::size_t>(naggs));
   std::vector<std::span<const std::byte>> req_views(
       static_cast<std::size_t>(p));
   std::uint64_t packed_req = 0;
   for (int a = 0; a < naggs; ++a) {
+    const auto au = static_cast<std::size_t>(a);
     const auto [dlo, dhi] = dom.of(a);
-    my_subs[static_cast<std::size_t>(a)] =
-        TwoPhase::intersect(mine, dlo, dhi);
-    const auto& subs = my_subs[static_cast<std::size_t>(a)];
+    intersect_into(mine, dlo, dhi, my_subs[au]);
+    const auto& subs = my_subs[au];
     if (subs.empty()) continue;
     const auto dst = static_cast<std::size_t>(leaders[a]);
-    req_store[dst] = encode_records(subs);
+    req_store[au] = encode_records(subs);
     req_bytes[dst] = records_size(subs);
-    req_views[dst] = req_store[dst];
+    req_views[dst] = req_store[au];
     packed_req += records_size(subs);
   }
   co_await comm.machine().mem_copy(packed_req);
-  auto requests = co_await mprt::alltoallv(comm, req_bytes, req_views);
+  auto requests = co_await mprt::alltoallv(comm, std::move(req_bytes),
+                                           std::move(req_views));
   if (stats) stats->exchange_time += eng.now() - t_req;
   if (m.exchange_s) m.exchange_s->observe(eng.now() - t_req);
 
   // ---- I/O phase (aggregators): pread the merged request runs ----------
+  // Requests are decoded straight out of their payloads — here to plan
+  // the runs and size the replies, and again to pack the replies when
+  // the file serves real bytes.  No per-source record lists are kept.
   const bool is_agg = comm.rank() % width == 0;
-  std::vector<std::vector<Extent>> recs(static_cast<std::size_t>(p));
+  std::vector<std::uint64_t> rep_bytes(static_cast<std::size_t>(p), 0);
+  std::vector<Extent> recs;  // scratch, reused per source
   std::vector<Extent> runs;
   if (is_agg) {
     std::vector<Extent> domain_pieces;
     for (int s = 0; s < p; ++s) {
-      recs[static_cast<std::size_t>(s)] =
-          decode_records(requests[static_cast<std::size_t>(s)].payload);
-      const auto& rr = recs[static_cast<std::size_t>(s)];
-      domain_pieces.insert(domain_pieces.end(), rr.begin(), rr.end());
+      const auto su = static_cast<std::size_t>(s);
+      decode_records(requests[su].payload, recs);
+      rep_bytes[su] = total_length(recs);
+      domain_pieces.insert(domain_pieces.end(), recs.begin(), recs.end());
     }
-    runs = TwoPhase::merge_runs(domain_pieces);
+    runs = TwoPhase::merge_runs(std::move(domain_pieces));
   }
   std::vector<std::vector<std::byte>> run_bufs(runs.size());
   const simkit::Time t_io = eng.now();
@@ -434,38 +475,36 @@ simkit::Task<void> hier_read(mprt::Comm& comm, pfs::StripedFs& fs,
   }
 
   // ---- reply round: data back to requesters, in request order ----------
+  // Only an aggregator serving real bytes holds reply buffers.
   const simkit::Time t_x = eng.now();
-  std::vector<std::uint64_t> rep_bytes(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::byte>> rep_store(static_cast<std::size_t>(p));
-  std::vector<std::span<const std::byte>> rep_views(
-      static_cast<std::size_t>(p));
+  std::vector<std::vector<std::byte>> rep_store;
+  std::vector<std::span<const std::byte>> rep_views;
   std::uint64_t packed = 0;
-  for (int s = 0; s < p; ++s) {
-    const auto su = static_cast<std::size_t>(s);
-    const std::uint64_t bytes = total_length(recs[su]);
-    if (bytes == 0) continue;
-    rep_bytes[su] = bytes;
-    packed += bytes;
-    if (serve_data) {
+  for (const std::uint64_t bytes : rep_bytes) packed += bytes;
+  if (is_agg && serve_data) {
+    rep_store.resize(static_cast<std::size_t>(p));
+    rep_views.resize(static_cast<std::size_t>(p));
+    for (int s = 0; s < p; ++s) {
+      const auto su = static_cast<std::size_t>(s);
+      if (rep_bytes[su] == 0) continue;
+      decode_records(requests[su].payload, recs);
       auto& buf = rep_store[su];
-      buf.reserve(bytes);
-      for (const auto& sub : recs[su]) {
-        auto it = std::upper_bound(
-            runs.begin(), runs.end(), sub.file_offset,
-            [](std::uint64_t off, const Extent& r) {
-              return off < r.file_offset;
-            });
-        const auto run_idx = static_cast<std::size_t>(
-            std::distance(runs.begin(), std::prev(it)));
-        const auto* src = run_bufs[run_idx].data() +
-                          (sub.file_offset - runs[run_idx].file_offset);
+      buf.reserve(rep_bytes[su]);
+      for (const auto& sub : recs) {
+        const std::size_t ri = run_of(runs, sub.file_offset);
+        const auto* src = run_bufs[ri].data() +
+                          (sub.file_offset - runs[ri].file_offset);
         buf.insert(buf.end(), src, src + sub.length);
       }
       rep_views[su] = buf;
     }
   }
+  // Every rank holds P request messages; free them before the reply round
+  // allocates P more.
+  requests = {};
   co_await comm.machine().mem_copy(packed);  // pack pass
-  auto replies = co_await mprt::alltoallv(comm, rep_bytes, rep_views);
+  auto replies = co_await mprt::alltoallv(comm, std::move(rep_bytes),
+                                          std::move(rep_views));
 
   // Scatter replies by my own per-domain request order.
   std::uint64_t unpacked = 0;
@@ -491,16 +530,10 @@ simkit::Task<void> hier_read(mprt::Comm& comm, pfs::StripedFs& fs,
 
 }  // namespace
 
-std::vector<Extent> TwoPhase::intersect(const std::vector<Extent>& pieces,
+std::vector<Extent> TwoPhase::intersect(std::span<const Extent> pieces,
                                         std::uint64_t lo, std::uint64_t hi) {
   std::vector<Extent> out;
-  for (const auto& e : pieces) {
-    const std::uint64_t s = std::max(e.file_offset, lo);
-    const std::uint64_t t = std::min(e.file_end(), hi);
-    if (s < t) {
-      out.push_back(Extent{s, t - s, e.buf_offset + (s - e.file_offset)});
-    }
-  }
+  append_intersection(pieces, lo, hi, out);
   return out;
 }
 
@@ -545,8 +578,7 @@ simkit::Task<void> TwoPhase::write(mprt::Comm& comm, pfs::StripedFs& fs,
   }
 
   const simkit::Time t_meta = eng.now();
-  auto all = co_await allgather_extents(comm, mine);
-  all[static_cast<std::size_t>(comm.rank())] = mine;  // keep buf offsets
+  const ExtentTable all = co_await allgather_extents(comm, mine);
   // Ranks beyond the aggregator count own empty file domains and only
   // participate in the exchange (ROMIO's collective-buffering nodes).
   const int aggs = options.aggregators > 0 && options.aggregators <= p
@@ -559,49 +591,53 @@ simkit::Task<void> TwoPhase::write(mprt::Comm& comm, pfs::StripedFs& fs,
   if (dom.chunk == 0) co_return;
 
   // ---- exchange phase: ship my pieces to their domain owners ----------
+  // Aggregator-side data handling keys off the FILE being backed, not off
+  // this rank's own buffer: a rank with no pieces of its own still owns a
+  // domain and must land other ranks' real bytes.  Data bytes travel only
+  // when the file keeps them; the simulated sizes are the same either way.
   const simkit::Time t_x = eng.now();
-  const bool with_data = !local_data.empty();
+  const bool assemble = fs.is_backed(file);
+  const bool with_data = assemble && !local_data.empty();
   std::vector<std::uint64_t> send_bytes(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::byte>> payload_store(
-      static_cast<std::size_t>(p));
-  std::vector<std::span<const std::byte>> payload_views(
-      static_cast<std::size_t>(p));
+  std::vector<std::vector<std::byte>> payload_store;
+  std::vector<std::span<const std::byte>> payload_views;
+  if (with_data) {
+    payload_store.resize(static_cast<std::size_t>(p));
+    payload_views.resize(static_cast<std::size_t>(p));
+  }
+  std::vector<Extent> subs;  // scratch, reused per domain / source
   std::uint64_t packed = 0;
-  for (int d = 0; d < p; ++d) {
+  for (int d = 0; d < aggs; ++d) {
     const auto [dlo, dhi] = dom.of(d);
-    auto subs = intersect(mine, dlo, dhi);
+    intersect_into(mine, dlo, dhi, subs);
     const std::uint64_t bytes = total_length(subs);
     send_bytes[static_cast<std::size_t>(d)] = bytes;
     packed += bytes;
     if (with_data && bytes > 0) {
       auto& buf = payload_store[static_cast<std::size_t>(d)];
       buf.reserve(bytes);
-      for (const auto& s : subs) {
-        buf.insert(buf.end(), local_data.begin() + s.buf_offset,
-                   local_data.begin() + s.buf_offset + s.length);
+      for (const auto& sub : subs) {
+        buf.insert(buf.end(), local_data.begin() + sub.buf_offset,
+                   local_data.begin() + sub.buf_offset + sub.length);
       }
       payload_views[static_cast<std::size_t>(d)] = buf;
     }
   }
   co_await comm.machine().mem_copy(packed);  // pack pass
-  // NOTE: payload_views stays a named lvalue — passing a temporary vector
-  // through co_await trips a GCC 12 coroutine temporary-lifetime bug.
-  // All-empty views are equivalent to "no data".
-  auto received = co_await mprt::alltoallv(comm, send_bytes, payload_views);
+  // Named vectors, moved in: a temporary vector built inside a co_await
+  // argument list trips a GCC 12 coroutine temporary-lifetime bug.
+  // Empty views are equivalent to "no data".
+  auto received = co_await mprt::alltoallv(comm, std::move(send_bytes),
+                                           std::move(payload_views));
 
   // ---- I/O phase: assemble my domain and write it in large runs -------
-  // Aggregator-side data handling keys off the FILE being backed, not off
-  // this rank's own buffer: a rank with no pieces of its own still owns a
-  // domain and must land other ranks' real bytes.
-  const bool assemble = fs.is_backed(file);
   const auto [my_lo, my_hi] = dom.of(comm.rank());
   std::vector<Extent> domain_pieces;
   for (int s = 0; s < p; ++s) {
-    auto subs = intersect(all[static_cast<std::size_t>(s)], my_lo, my_hi);
-    domain_pieces.insert(domain_pieces.end(), subs.begin(), subs.end());
+    append_intersection(all.of(s), my_lo, my_hi, domain_pieces);
   }
-  auto runs = merge_runs(domain_pieces);
-  std::uint64_t unpacked = 0;
+  const std::uint64_t unpacked = total_length(domain_pieces);
+  const auto runs = merge_runs(std::move(domain_pieces));
   std::vector<std::vector<std::byte>> run_bufs(runs.size());
   if (assemble) {
     for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -609,31 +645,18 @@ simkit::Task<void> TwoPhase::write(mprt::Comm& comm, pfs::StripedFs& fs,
     }
     // Per-source sequential cursors over received payloads.
     for (int s = 0; s < p; ++s) {
-      auto subs = intersect(all[static_cast<std::size_t>(s)], my_lo, my_hi);
+      intersect_into(all.of(s), my_lo, my_hi, subs);
       const auto& pay = received[static_cast<std::size_t>(s)].payload;
       std::size_t cursor = 0;
       for (const auto& sub : subs) {
-        // Locate the run containing this sub-extent.
-        auto it = std::upper_bound(
-            runs.begin(), runs.end(), sub.file_offset,
-            [](std::uint64_t off, const Extent& r) {
-              return off < r.file_offset;
-            });
-        const auto run_idx = static_cast<std::size_t>(
-            std::distance(runs.begin(), std::prev(it)));
+        const std::size_t ri = run_of(runs, sub.file_offset);
         if (pay.size() >= cursor + sub.length) {
-          std::memcpy(run_bufs[run_idx].data() +
-                          (sub.file_offset - runs[run_idx].file_offset),
+          std::memcpy(run_bufs[ri].data() +
+                          (sub.file_offset - runs[ri].file_offset),
                       pay.data() + cursor, sub.length);
         }
         cursor += sub.length;
-        unpacked += sub.length;
       }
-    }
-  } else {
-    for (int s = 0; s < p; ++s) {
-      unpacked += total_length(
-          intersect(all[static_cast<std::size_t>(s)], my_lo, my_hi));
     }
   }
   co_await comm.machine().mem_copy(unpacked);  // unpack pass
@@ -695,8 +718,7 @@ simkit::Task<void> TwoPhase::read(mprt::Comm& comm, pfs::StripedFs& fs,
   }
 
   const simkit::Time t_meta = eng.now();
-  auto all = co_await allgather_extents(comm, mine);
-  all[static_cast<std::size_t>(comm.rank())] = mine;
+  const ExtentTable all = co_await allgather_extents(comm, mine);
   const int aggs = options.aggregators > 0 && options.aggregators <= p
                        ? options.aggregators
                        : p;
@@ -711,13 +733,20 @@ simkit::Task<void> TwoPhase::read(mprt::Comm& comm, pfs::StripedFs& fs,
   const bool serve_data = fs.is_backed(file);
 
   // ---- I/O phase: read my domain's needed runs -------------------------
+  // One pass over the table yields both my domain's pieces and what each
+  // source gets back in the exchange.
   const auto [my_lo, my_hi] = dom.of(comm.rank());
+  std::vector<std::uint64_t> send_bytes(static_cast<std::size_t>(p), 0);
   std::vector<Extent> domain_pieces;
   for (int s = 0; s < p; ++s) {
-    auto subs = intersect(all[static_cast<std::size_t>(s)], my_lo, my_hi);
-    domain_pieces.insert(domain_pieces.end(), subs.begin(), subs.end());
+    const std::size_t before = domain_pieces.size();
+    append_intersection(all.of(s), my_lo, my_hi, domain_pieces);
+    for (std::size_t i = before; i < domain_pieces.size(); ++i) {
+      send_bytes[static_cast<std::size_t>(s)] += domain_pieces[i].length;
+    }
   }
-  auto runs = merge_runs(domain_pieces);
+  const std::uint64_t packed = total_length(domain_pieces);
+  const auto runs = merge_runs(std::move(domain_pieces));
   std::vector<std::vector<std::byte>> run_bufs(runs.size());
   const simkit::Time t_io = eng.now();
   std::exception_ptr deferred;  // see TwoPhaseOptions::retry
@@ -761,44 +790,36 @@ simkit::Task<void> TwoPhase::read(mprt::Comm& comm, pfs::StripedFs& fs,
 
   // ---- exchange phase: ship pieces to their requesters -----------------
   const simkit::Time t_x = eng.now();
-  std::vector<std::uint64_t> send_bytes(static_cast<std::size_t>(p), 0);
-  std::vector<std::vector<std::byte>> payload_store(
-      static_cast<std::size_t>(p));
-  std::vector<std::span<const std::byte>> payload_views(
-      static_cast<std::size_t>(p));
-  std::uint64_t packed = 0;
-  for (int s = 0; s < p; ++s) {
-    auto subs = intersect(all[static_cast<std::size_t>(s)], my_lo, my_hi);
-    const std::uint64_t bytes = total_length(subs);
-    send_bytes[static_cast<std::size_t>(s)] = bytes;
-    packed += bytes;
-    if (serve_data && bytes > 0) {
-      auto& buf = payload_store[static_cast<std::size_t>(s)];
-      buf.reserve(bytes);
+  std::vector<std::vector<std::byte>> payload_store;
+  std::vector<std::span<const std::byte>> payload_views;
+  std::vector<Extent> subs;  // scratch, reused per source / domain
+  if (serve_data) {
+    payload_store.resize(static_cast<std::size_t>(p));
+    payload_views.resize(static_cast<std::size_t>(p));
+    for (int s = 0; s < p; ++s) {
+      const auto su = static_cast<std::size_t>(s);
+      if (send_bytes[su] == 0) continue;
+      intersect_into(all.of(s), my_lo, my_hi, subs);
+      auto& buf = payload_store[su];
+      buf.reserve(send_bytes[su]);
       for (const auto& sub : subs) {
-        auto it = std::upper_bound(
-            runs.begin(), runs.end(), sub.file_offset,
-            [](std::uint64_t off, const Extent& r) {
-              return off < r.file_offset;
-            });
-        const auto run_idx = static_cast<std::size_t>(
-            std::distance(runs.begin(), std::prev(it)));
-        const auto* src = run_bufs[run_idx].data() +
-                          (sub.file_offset - runs[run_idx].file_offset);
+        const std::size_t ri = run_of(runs, sub.file_offset);
+        const auto* src = run_bufs[ri].data() +
+                          (sub.file_offset - runs[ri].file_offset);
         buf.insert(buf.end(), src, src + sub.length);
       }
-      payload_views[static_cast<std::size_t>(s)] = buf;
+      payload_views[su] = buf;
     }
   }
   co_await comm.machine().mem_copy(packed);  // pack pass
-  // Named lvalue: see the GCC 12 note in write().
-  auto received = co_await mprt::alltoallv(comm, send_bytes, payload_views);
+  auto received = co_await mprt::alltoallv(comm, std::move(send_bytes),
+                                           std::move(payload_views));
 
   // Scatter replies into my local buffer, per-domain sequential order.
   std::uint64_t unpacked = 0;
-  for (int d = 0; d < p; ++d) {
+  for (int d = 0; d < aggs; ++d) {
     const auto [dlo, dhi] = dom.of(d);
-    auto subs = intersect(mine, dlo, dhi);
+    intersect_into(mine, dlo, dhi, subs);
     const auto& pay = received[static_cast<std::size_t>(d)].payload;
     std::size_t cursor = 0;
     for (const auto& sub : subs) {
