@@ -33,8 +33,8 @@ double run_exchange(double hop_us, double bw_mb) {
     std::vector<std::uint64_t> sizes(static_cast<std::size_t>(c.size()),
                                      64 * 1024);
     std::vector<std::span<const std::byte>> no_payloads;
-    auto msgs = co_await mprt::alltoallv(c, sizes, no_payloads);
-    (void)msgs;
+    mprt::RecvSink ignore = [](mprt::Message&) {};
+    co_await mprt::alltoallv(c, sizes, no_payloads, ignore);
   });
 }
 

@@ -187,36 +187,39 @@ std::vector<Block> build_blocks(
   return out;
 }
 
-Message block_to_message(Block b, int tag) {
+/// Hand one routed block to the sink as its source's message and mark the
+/// source seen.
+void deliver_block(Block b, int tag, std::vector<bool>& seen,
+                   const RecvSink& sink) {
+  seen[static_cast<std::size_t>(b.src)] = true;
   Message m;
   m.src = b.src;
   m.tag = tag;
   m.bytes = b.sim_bytes;
   m.payload = std::move(b.payload);
-  return m;
+  sink(m);
 }
 
-/// Fill the self slot and any source that sent nothing, so every routing
-/// kind returns the same shape the flat exchange does: P messages indexed
-/// by source, empty ones included.
-void fill_missing(std::vector<Message>& out, Rank r, int p, int tag,
-                  const std::vector<std::uint64_t>& send_bytes,
-                  const std::vector<std::span<const std::byte>>& payloads) {
-  Message self;
-  self.src = r;
-  self.tag = tag;
-  self.bytes = send_bytes[static_cast<std::size_t>(r)];
-  if (!payloads.empty()) {
-    const auto& pay = payloads[static_cast<std::size_t>(r)];
-    self.payload.assign(pay.begin(), pay.end());
-  }
-  out[static_cast<std::size_t>(r)] = std::move(self);
-  for (int s = 0; s < p; ++s) {
-    Message& m = out[static_cast<std::size_t>(s)];
-    if (m.src < 0) {
-      m.src = s;
-      m.tag = tag;
+/// Hand the sink self and every source that sent nothing, so every routing
+/// kind delivers what the flat exchange does: one message per source,
+/// empty ones included.
+void deliver_unseen(const std::vector<bool>& seen, Rank r, int tag,
+                    const std::vector<std::uint64_t>& send_bytes,
+                    const std::vector<std::span<const std::byte>>& payloads,
+                    const RecvSink& sink) {
+  for (Rank s = 0; s < static_cast<Rank>(seen.size()); ++s) {
+    if (seen[static_cast<std::size_t>(s)]) continue;
+    Message m;
+    m.src = s;
+    m.tag = tag;
+    if (s == r) {
+      m.bytes = send_bytes[static_cast<std::size_t>(r)];
+      if (!payloads.empty()) {
+        const auto& pay = payloads[static_cast<std::size_t>(r)];
+        m.payload.assign(pay.begin(), pay.end());
+      }
     }
+    sink(m);
   }
 }
 
@@ -224,13 +227,13 @@ void fill_missing(std::vector<Message>& out, Rank r, int p, int tag,
 /// ships the blocks whose remaining relative distance has bit k set to
 /// rank + 2^k.  P * ceil(log2 P) wire messages total — each block hops
 /// (and pays the network) once per set bit of its distance.
-simkit::Task<std::vector<Message>> alltoallv_bruck(
+simkit::Task<void> alltoallv_bruck(
     Comm& c, std::vector<std::uint64_t> send_bytes,
-    std::vector<std::span<const std::byte>> payloads) {
+    std::vector<std::span<const std::byte>> payloads, RecvSink sink) {
   const int p = c.size();
   const Rank r = c.rank();
   A2aMeters meters;
-  std::vector<Message> out(static_cast<std::size_t>(p));
+  std::vector<bool> seen(static_cast<std::size_t>(p));
   std::vector<Block> items = build_blocks(r, p, send_bytes, payloads);
   int last_tag = Comm::kCollectiveTagBase;
   for (int k = 1; k < p; k <<= 1) {
@@ -255,28 +258,25 @@ simkit::Task<std::vector<Message>> alltoallv_bruck(
     meters.note(sim);
     co_await c.send(dst, tag, sim, frame);
     Message m = co_await c.recv(src, tag);
-    auto arrived = decode_blocks(m.payload);
-    for (auto& b : arrived) {
+    for (auto& b : decode_blocks(m.payload)) {
       if (b.dst == r) {
-        out[static_cast<std::size_t>(b.src)] =
-            block_to_message(std::move(b), tag);
+        deliver_block(std::move(b), tag, seen, sink);
       } else {
         items.push_back(std::move(b));
       }
     }
   }
   assert(items.empty());
-  fill_missing(out, r, p, last_tag, send_bytes, payloads);
-  co_return out;
+  deliver_unseen(seen, r, last_tag, send_bytes, payloads, sink);
 }
 
 /// Two-level leader routing: members ship all their blocks to the group
 /// leader (one message), leaders exchange pairwise (A^2), leaders deliver
 /// to members (one message each) — ~2P + A^2 wire messages instead of
 /// P^2, at the price of every byte crossing the network an extra time.
-simkit::Task<std::vector<Message>> alltoallv_twolevel(
+simkit::Task<void> alltoallv_twolevel(
     Comm& c, std::vector<std::uint64_t> send_bytes,
-    std::vector<std::span<const std::byte>> payloads) {
+    std::vector<std::span<const std::byte>> payloads, RecvSink sink) {
   const int p = c.size();
   const Rank r = c.rank();
   A2aMeters meters;
@@ -288,7 +288,7 @@ simkit::Task<std::vector<Message>> alltoallv_twolevel(
   const int tag_x = c.next_collective_tag();
   const int tag_down = c.next_collective_tag();
 
-  std::vector<Message> out(static_cast<std::size_t>(p));
+  std::vector<bool> seen(static_cast<std::size_t>(p));
   std::vector<Block> mine = build_blocks(r, p, send_bytes, payloads);
 
   if (r != my_leader) {
@@ -298,20 +298,24 @@ simkit::Task<std::vector<Message>> alltoallv_twolevel(
     meters.note(sim);
     co_await c.send(my_leader, tag_up, sim, frame);
     Message down = co_await c.recv(my_leader, tag_down);
-    auto arrived = decode_blocks(down.payload);
-    for (auto& b : arrived) {
+    for (auto& b : decode_blocks(down.payload)) {
       assert(b.dst == r);
-      out[static_cast<std::size_t>(b.src)] =
-          block_to_message(std::move(b), tag_down);
+      deliver_block(std::move(b), tag_down, seen, sink);
     }
   } else {
-    // Collect the group's blocks (members in rank order).
+    // Collect the group's blocks (members in rank order); blocks for me
+    // go straight to the sink.
     std::vector<Block> pool = std::move(mine);
     const Rank group_end = std::min(my_leader + width, p);
     for (Rank mr = my_leader + 1; mr < group_end; ++mr) {
       Message up = co_await c.recv(mr, tag_up);
-      auto arrived = decode_blocks(up.payload);
-      for (auto& b : arrived) pool.push_back(std::move(b));
+      for (auto& b : decode_blocks(up.payload)) {
+        if (b.dst == r) {
+          deliver_block(std::move(b), tag_down, seen, sink);
+        } else {
+          pool.push_back(std::move(b));
+        }
+      }
     }
     // Bucket by destination group.
     std::vector<std::vector<Block>> per_group(static_cast<std::size_t>(nl));
@@ -337,20 +341,21 @@ simkit::Task<std::vector<Message>> alltoallv_twolevel(
       meters.note(sim);
       co_await c.send(dst_leader, tag_x, sim, frame);
       Message m = co_await c.recv(src_leader, tag_x);
-      auto arrived = decode_blocks(m.payload);
-      for (auto& b : arrived) local.push_back(std::move(b));
+      for (auto& b : decode_blocks(m.payload)) {
+        if (b.dst == r) {
+          deliver_block(std::move(b), tag_down, seen, sink);
+        } else {
+          local.push_back(std::move(b));
+        }
+      }
     }
-    // Deliver within my group.
+    // Deliver within my group (my own blocks never enter `local`: build_blocks
+    // skips self, so every block there is for another member).
     std::vector<std::vector<Block>> per_member(
         static_cast<std::size_t>(group_end - my_leader));
     for (auto& b : local) {
-      if (b.dst == r) {
-        out[static_cast<std::size_t>(b.src)] =
-            block_to_message(std::move(b), tag_down);
-      } else {
-        per_member[static_cast<std::size_t>(b.dst - my_leader)].push_back(
-            std::move(b));
-      }
+      per_member[static_cast<std::size_t>(b.dst - my_leader)].push_back(
+          std::move(b));
     }
     for (Rank mr = my_leader + 1; mr < group_end; ++mr) {
       std::vector<std::byte> frame;
@@ -361,20 +366,18 @@ simkit::Task<std::vector<Message>> alltoallv_twolevel(
       co_await c.send(mr, tag_down, sim, frame);
     }
   }
-  fill_missing(out, r, p, tag_down, send_bytes, payloads);
-  co_return out;
+  deliver_unseen(seen, r, tag_down, send_bytes, payloads, sink);
 }
 
 /// The historical flat exchange, kept byte-identical (same single tag,
 /// same shifted pairwise order, self included) for default-topology runs.
-simkit::Task<std::vector<Message>> alltoallv_flat(
+simkit::Task<void> alltoallv_flat(
     Comm& c, std::vector<std::uint64_t> send_bytes,
-    std::vector<std::span<const std::byte>> payloads) {
+    std::vector<std::span<const std::byte>> payloads, RecvSink sink) {
   const int p = c.size();
   const int tag = c.next_collective_tag();
   const Rank r = c.rank();
   A2aMeters meters;
-  std::vector<Message> out(static_cast<std::size_t>(p));
 
   // Shifted pairwise exchange: step k talks to (r+k) / (r-k).  Eager sends
   // make the sequential send-then-recv per step deadlock-free.
@@ -389,21 +392,23 @@ simkit::Task<std::vector<Message>> alltoallv_flat(
     meters.note(send_bytes[d]);
     co_await c.send(dst, tag, send_bytes[d], pay);
     Message m = co_await c.recv(src, tag);
-    out[static_cast<std::size_t>(src)] = std::move(m);
+    sink(m);
   }
-  co_return out;
 }
 
 }  // namespace
 
 int two_level_group_width(int p, const CollectiveTopology& t) {
+  if (t.group_size < 0) {
+    throw TopologyError("CollectiveTopology::group_size must be >= 0");
+  }
   if (p <= 1) return 1;
   int g = t.group_size;
-  if (g <= 0) {
+  if (g == 0) {
     g = static_cast<int>(
         std::ceil(std::sqrt(static_cast<double>(p))));
   }
-  return std::clamp(g, 1, p);
+  return std::min(g, p);
 }
 
 std::vector<Rank> two_level_leaders(int p, int width) {
@@ -412,23 +417,23 @@ std::vector<Rank> two_level_leaders(int p, int width) {
   return out;
 }
 
-simkit::Task<std::vector<Message>> alltoallv(
-    Comm& c, std::vector<std::uint64_t> send_bytes,
-    std::vector<std::span<const std::byte>> payloads) {
+simkit::Task<void> alltoallv(Comm& c, std::vector<std::uint64_t> send_bytes,
+                             std::vector<std::span<const std::byte>> payloads,
+                             RecvSink sink) {
   assert(send_bytes.size() == static_cast<std::size_t>(c.size()));
   assert(payloads.empty() ||
          payloads.size() == static_cast<std::size_t>(c.size()));
   const CollectiveTopology::Kind kind = c.topology().kind;
   if (kind == CollectiveTopology::Kind::kBruck) {
-    co_return co_await alltoallv_bruck(c, std::move(send_bytes),
-                                       std::move(payloads));
+    co_await alltoallv_bruck(c, std::move(send_bytes), std::move(payloads),
+                             std::move(sink));
+  } else if (kind == CollectiveTopology::Kind::kTwoLevel) {
+    co_await alltoallv_twolevel(c, std::move(send_bytes), std::move(payloads),
+                                std::move(sink));
+  } else {
+    co_await alltoallv_flat(c, std::move(send_bytes), std::move(payloads),
+                            std::move(sink));
   }
-  if (kind == CollectiveTopology::Kind::kTwoLevel) {
-    co_return co_await alltoallv_twolevel(c, std::move(send_bytes),
-                                          std::move(payloads));
-  }
-  co_return co_await alltoallv_flat(c, std::move(send_bytes),
-                                    std::move(payloads));
 }
 
 namespace {

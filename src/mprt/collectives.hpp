@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -31,27 +32,38 @@ simkit::Task<std::vector<Message>> gatherv(
     Comm& c, Rank root, std::uint64_t my_bytes,
     std::span<const std::byte> payload = {});
 
+/// Receives alltoallv's messages, one call per source rank.  The message
+/// is the sink's to keep: it may move the payload out.
+using RecvSink = std::function<void(Message&)>;
+
 /// Personalized all-to-all: rank r sends send_bytes[d] to each rank d.
-/// Returns P messages indexed by source.  `payloads`, when non-empty,
-/// supplies per-destination real content.
+/// `payloads`, when non-empty, supplies per-destination real content.
+///
+/// Each receipt goes to `sink`, called exactly once per source — self and
+/// sources that sent nothing included (bytes == 0, empty payload) — as
+/// that source's message or routed block arrives, so no rank holds P
+/// messages at once.  The order of the calls depends on the routing kind;
+/// sources that sent nothing and self come last under kBruck/kTwoLevel.
 ///
 /// Routing follows the cluster's CollectiveTopology: kFlat is the
 /// historical shifted pairwise exchange (P messages per rank), kBruck
 /// store-and-forwards in ceil(log2 P) rounds, kTwoLevel routes through
 /// group leaders (~2P + A^2 messages total for A groups).  All three
-/// deliver identical buffers; only message counts and timing differ.
+/// deliver identical messages; only message counts and timing differ.
 /// Wire traffic is metered as mprt.alltoall.msgs / mprt.alltoall.bytes
 /// when a metrics registry is installed.
 ///
 /// Parameters are taken BY VALUE deliberately: a coroutine must not bind
 /// references to caller temporaries (and GCC 12 additionally miscompiles
 /// non-trivially-destructible default arguments of coroutine calls).
-simkit::Task<std::vector<Message>> alltoallv(
-    Comm& c, std::vector<std::uint64_t> send_bytes,
-    std::vector<std::span<const std::byte>> payloads = {});
+/// The sink's captures must outlive the call (the caller's frame does).
+simkit::Task<void> alltoallv(Comm& c, std::vector<std::uint64_t> send_bytes,
+                             std::vector<std::span<const std::byte>> payloads,
+                             RecvSink sink);
 
 /// Effective kTwoLevel group width for a P-rank cluster: the topology's
-/// group_size clamped to [1, P], or ceil(sqrt(P)) when it is 0.
+/// group_size capped at P, or ceil(sqrt(P)) when it is 0.  Throws
+/// TopologyError for a negative group_size.
 int two_level_group_width(int p, const CollectiveTopology& t);
 
 /// Group-leader ranks (0, W, 2W, ...) for a P-rank cluster at width W.

@@ -1,5 +1,6 @@
 #include "mprt/comm.hpp"
 
+#include <string>
 #include <utility>
 
 #include "simkit/combinators.hpp"
@@ -89,6 +90,14 @@ Cluster::Cluster(hw::Machine& machine, int nprocs) : machine_(machine) {
     comms_.push_back(std::unique_ptr<Comm>(new Comm(
         this, r, machine.compute_node(static_cast<std::size_t>(r)))));
   }
+}
+
+void Cluster::set_topology(CollectiveTopology t) {
+  if (t.group_size < 0) {
+    throw TopologyError("CollectiveTopology::group_size must be >= 0, got " +
+                        std::to_string(t.group_size));
+  }
+  topology_ = t;
 }
 
 simkit::Task<void> Cluster::run(

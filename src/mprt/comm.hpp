@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -52,6 +53,13 @@ struct CollectiveTopology {
   /// leader, rank g*G.  0 picks ceil(sqrt(P)), which minimizes the
   /// 2P + (P/G)^2*... message total for a square machine.
   int group_size = 0;
+};
+
+/// An invalid CollectiveTopology (a negative group_size).  Widths larger
+/// than P are legal: they mean one group.
+class TopologyError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
 };
 
 class Cluster;
@@ -176,8 +184,9 @@ class Cluster {
   /// Collective routing policy for every Comm of this cluster.  Set it
   /// before spawning rank bodies — changing the topology between two
   /// collectives of a running SPMD program is undefined (ranks could
-  /// route one collective two different ways).
-  void set_topology(CollectiveTopology t) noexcept { topology_ = t; }
+  /// route one collective two different ways).  Throws TopologyError for
+  /// a negative group_size.
+  void set_topology(CollectiveTopology t);
   const CollectiveTopology& topology() const noexcept { return topology_; }
 
  private:

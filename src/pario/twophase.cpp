@@ -24,6 +24,26 @@ struct TpMeters {
       io_bytes = &r->counter("pario.twophase.io_bytes");
     }
   }
+  /// One file I/O call of `bytes`.
+  void note_io(TwoPhaseStats* stats, std::uint64_t bytes) const {
+    if (stats) {
+      ++stats->io_calls;
+      stats->io_bytes += bytes;
+    }
+    if (io_calls) {
+      io_calls->inc();
+      io_bytes->inc(bytes);
+    }
+  }
+  void note_io_time(TwoPhaseStats* stats, simkit::Duration d) const {
+    if (stats) stats->io_time += d;
+    if (io_s) io_s->observe(d);
+  }
+  void note_exchange_time(TwoPhaseStats* stats, simkit::Duration d) const {
+    if (stats) stats->exchange_time += d;
+    if (exchange_s) exchange_s->observe(d);
+  }
+
   metrics::Histogram* io_s = nullptr;
   metrics::Histogram* exchange_s = nullptr;
   metrics::Counter* io_calls = nullptr;
@@ -45,6 +65,37 @@ std::vector<std::byte> serialize_extents(const std::vector<Extent>& v) {
   return out;
 }
 
+/// Append the intersections of (sorted) `pieces` with [lo, hi) to `out`,
+/// preserving order and buffer mapping.  The one intersection routine:
+/// TwoPhase::intersect wraps it, and the collective loops call it on
+/// reused scratch.
+void append_intersection(std::span<const Extent> pieces, std::uint64_t lo,
+                         std::uint64_t hi, std::vector<Extent>& out) {
+  for (const auto& e : pieces) {
+    const std::uint64_t s = std::max(e.file_offset, lo);
+    const std::uint64_t t = std::min(e.file_end(), hi);
+    if (s < t) {
+      out.push_back(Extent{s, t - s, e.buf_offset + (s - e.file_offset)});
+    }
+  }
+}
+
+/// What a domain owner keeps of the extent table once its plan is made:
+/// each source's pieces inside the domain, for the sources that have any.
+struct DomainSlice {
+  std::vector<Extent> ext;
+  std::vector<int> src;             // ascending
+  std::vector<std::size_t> off{0};  // src.size() + 1 entries
+
+  /// Source s's pieces (empty when it has none here).
+  std::span<const Extent> of(int s) const {
+    const auto it = std::lower_bound(src.begin(), src.end(), s);
+    if (it == src.end() || *it != s) return {};
+    const auto i = static_cast<std::size_t>(it - src.begin());
+    return std::span<const Extent>(ext).subspan(off[i], off[i + 1] - off[i]);
+  }
+};
+
 /// Every rank's piece list, flattened: source s's pieces are
 /// ext[off[s], off[s+1]).  buf_offset is 0 throughout — only file ranges
 /// cross the wire, and only file ranges are read from the table.
@@ -56,6 +107,19 @@ struct ExtentTable {
     const auto su = static_cast<std::size_t>(s);
     return std::span<const Extent>(ext).subspan(off[su],
                                                  off[su + 1] - off[su]);
+  }
+
+  /// The domain [lo, hi)'s slice of the table.
+  DomainSlice slice(std::uint64_t lo, std::uint64_t hi) const {
+    DomainSlice out;
+    for (std::size_t s = 0; s + 1 < off.size(); ++s) {
+      append_intersection(of(static_cast<int>(s)), lo, hi, out.ext);
+      if (out.ext.size() > out.off.back()) {
+        out.src.push_back(static_cast<int>(s));
+        out.off.push_back(out.ext.size());
+      }
+    }
+    return out;
   }
 };
 
@@ -101,21 +165,6 @@ simkit::Task<ExtentTable> allgather_extents(mprt::Comm& c,
     all.ext[i] = Extent{pair[0], pair[1], 0};
   }
   co_return all;
-}
-
-/// Append the intersections of (sorted) `pieces` with [lo, hi) to `out`,
-/// preserving order and buffer mapping.  The one intersection routine:
-/// TwoPhase::intersect wraps it, and the collective loops call it on
-/// reused scratch.
-void append_intersection(std::span<const Extent> pieces, std::uint64_t lo,
-                         std::uint64_t hi, std::vector<Extent>& out) {
-  for (const auto& e : pieces) {
-    const std::uint64_t s = std::max(e.file_offset, lo);
-    const std::uint64_t t = std::min(e.file_end(), hi);
-    if (s < t) {
-      out.push_back(Extent{s, t - s, e.buf_offset + (s - e.file_offset)});
-    }
-  }
 }
 
 /// `out` = pieces ∩ [lo, hi), reusing out's storage.
@@ -164,6 +213,83 @@ Domains partition(const ExtentTable& all, int p, std::uint64_t stripe_unit) {
     hi = std::max(hi, e.file_end());
   }
   return make_domains(lo, hi, p, stripe_unit);
+}
+
+/// Phase-1 file I/O of a collective write: one pwrite per run, carrying
+/// run_bufs[i]'s bytes (none when it is empty).  An IoError from an
+/// exhausted retry policy stops the loop and is RETURNED, so the caller
+/// finishes the message protocol before rethrowing (see
+/// TwoPhaseOptions::retry).
+simkit::Task<std::exception_ptr> write_runs(
+    mprt::Comm& comm, pfs::StripedFs& fs, pfs::FileId file,
+    const std::vector<Extent>& runs,
+    const std::vector<std::vector<std::byte>>& run_bufs, TwoPhaseStats* stats,
+    const TwoPhaseOptions& options, const TpMeters& m) {
+  simkit::Engine& eng = comm.engine();
+  const simkit::Time t_io = eng.now();
+  std::exception_ptr deferred;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const std::span<const std::byte> run_view = run_bufs[i];
+    if (options.retry) {
+      try {
+        co_await resilient_pwrite(fs, comm.node(), file,
+                                  runs[i].file_offset, runs[i].length,
+                                  run_view, *options.retry,
+                                  options.retry_stats);
+      } catch (const pfs::IoError&) {
+        deferred = std::current_exception();
+        break;  // abandon my domain; the caller completes the protocol
+      }
+    } else {
+      co_await fs.pwrite(comm.node(), file, runs[i].file_offset,
+                         runs[i].length, run_view);
+    }
+    m.note_io(stats, runs[i].length);
+  }
+  m.note_io_time(stats, eng.now() - t_io);
+  co_return deferred;
+}
+
+/// Phase-1 file I/O of a collective read: one pread per run, into
+/// run_bufs[i] (sized here) when `serve_data`.  Errors as in write_runs;
+/// after one, every run still gets (zero-filled) storage, because the
+/// caller's pack pass reads from every run and discards the data on
+/// rethrow.
+simkit::Task<std::exception_ptr> read_runs(
+    mprt::Comm& comm, pfs::StripedFs& fs, pfs::FileId file,
+    const std::vector<Extent>& runs,
+    std::vector<std::vector<std::byte>>& run_bufs, bool serve_data,
+    TwoPhaseStats* stats, const TwoPhaseOptions& options,
+    const TpMeters& m) {
+  simkit::Engine& eng = comm.engine();
+  const simkit::Time t_io = eng.now();
+  std::exception_ptr deferred;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (serve_data) run_bufs[i].resize(runs[i].length);
+    const std::span<std::byte> run_view = run_bufs[i];
+    if (options.retry) {
+      try {
+        co_await resilient_pread(fs, comm.node(), file,
+                                 runs[i].file_offset, runs[i].length,
+                                 run_view, *options.retry,
+                                 options.retry_stats);
+      } catch (const pfs::IoError&) {
+        deferred = std::current_exception();
+        break;  // serve what we have; the caller discards on rethrow
+      }
+    } else {
+      co_await fs.pread(comm.node(), file, runs[i].file_offset,
+                        runs[i].length, run_view);
+    }
+    m.note_io(stats, runs[i].length);
+  }
+  m.note_io_time(stats, eng.now() - t_io);
+  if (deferred && serve_data) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      run_bufs[i].resize(runs[i].length);
+    }
+  }
+  co_return deferred;
 }
 
 // ---------------------------------------------------------------------------
@@ -248,8 +374,7 @@ simkit::Task<void> hier_write(mprt::Comm& comm, pfs::StripedFs& fs,
   const auto bounds = co_await reduce_bounds(comm, mine);
   const Domains dom = make_domains(bounds.first, bounds.second, naggs,
                                    fs.stripe_map(file).stripe_unit());
-  if (stats) stats->exchange_time += eng.now() - t_meta;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_meta);
+  m.note_exchange_time(stats, eng.now() - t_meta);
   if (dom.chunk == 0) co_return;  // reduced bounds: all ranks agree
 
   // ---- exchange phase: records (+ data) to the owning aggregators ------
@@ -286,81 +411,52 @@ simkit::Task<void> hier_write(mprt::Comm& comm, pfs::StripedFs& fs,
     packed += records_size(subs) + data_bytes;
   }
   co_await comm.machine().mem_copy(packed);  // pack pass
-  auto received = co_await mprt::alltoallv(comm, std::move(send_bytes),
-                                           std::move(payload_views));
+  // Only aggregators receive anything: they keep the payload of each
+  // source that sent records.
+  std::vector<std::vector<std::byte>> received;
+  mprt::RecvSink keep = [&](mprt::Message& msg) {
+    if (!msg.payload.empty()) received.push_back(std::move(msg.payload));
+  };
+  co_await mprt::alltoallv(comm, std::move(send_bytes),
+                           std::move(payload_views), std::move(keep));
 
   // ---- aggregator side: decode records, assemble runs ------------------
   // Each source's records are decoded straight out of its payload: once
   // to plan the runs, and once more to land the data when the file is
   // backed.  No per-source record lists are kept.
-  const bool is_agg = comm.rank() % width == 0;
-  std::vector<Extent> runs;
-  std::vector<std::vector<std::byte>> run_bufs;
-  std::uint64_t unpacked = 0;
-  if (is_agg) {
-    std::vector<Extent> domain_pieces;
-    for (const auto& msg : received) {
-      decode_records(msg.payload, subs);
-      domain_pieces.insert(domain_pieces.end(), subs.begin(), subs.end());
+  std::vector<Extent> domain_pieces;
+  for (const auto& pay : received) {
+    decode_records(pay, subs);
+    domain_pieces.insert(domain_pieces.end(), subs.begin(), subs.end());
+  }
+  const std::uint64_t unpacked = total_length(domain_pieces);
+  const auto runs = TwoPhase::merge_runs(std::move(domain_pieces));
+  std::vector<std::vector<std::byte>> run_bufs(runs.size());
+  if (assemble) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      run_bufs[i].resize(runs[i].length);
     }
-    unpacked = total_length(domain_pieces);
-    runs = TwoPhase::merge_runs(std::move(domain_pieces));
-    if (assemble) {
-      run_bufs.resize(runs.size());
-      for (std::size_t i = 0; i < runs.size(); ++i) {
-        run_bufs[i].resize(runs[i].length);
-      }
-      for (const auto& msg : received) {
-        const auto& pay = msg.payload;
-        decode_records(pay, subs);
-        std::size_t cursor = records_size(subs);  // data follows records
-        for (const auto& sub : subs) {
-          const std::size_t ri = run_of(runs, sub.file_offset);
-          if (pay.size() >= cursor + sub.length) {
-            std::memcpy(run_bufs[ri].data() +
-                            (sub.file_offset - runs[ri].file_offset),
-                        pay.data() + cursor, sub.length);
-          }
-          cursor += sub.length;
+    for (const auto& pay : received) {
+      decode_records(pay, subs);
+      std::size_t cursor = records_size(subs);  // data follows records
+      for (const auto& sub : subs) {
+        const std::size_t ri = run_of(runs, sub.file_offset);
+        if (pay.size() >= cursor + sub.length) {
+          std::memcpy(run_bufs[ri].data() +
+                          (sub.file_offset - runs[ri].file_offset),
+                      pay.data() + cursor, sub.length);
         }
+        cursor += sub.length;
       }
     }
   }
+  received = {};  // landed in the runs
   co_await comm.machine().mem_copy(unpacked);  // unpack pass
-  if (stats) stats->exchange_time += eng.now() - t_x;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_x);
+  m.note_exchange_time(stats, eng.now() - t_x);
 
   // ---- I/O phase: only aggregators have runs ---------------------------
-  const simkit::Time t_io = eng.now();
-  std::exception_ptr deferred;  // see TwoPhaseOptions::retry
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    std::span<const std::byte> run_view;
-    if (assemble) run_view = run_bufs[i];
-    if (options.retry) {
-      try {
-        co_await resilient_pwrite(fs, comm.node(), file,
-                                  runs[i].file_offset, runs[i].length,
-                                  run_view, *options.retry,
-                                  options.retry_stats);
-      } catch (const pfs::IoError&) {
-        deferred = std::current_exception();
-        break;  // abandon my domain; complete the protocol below
-      }
-    } else {
-      co_await fs.pwrite(comm.node(), file, runs[i].file_offset,
-                         runs[i].length, run_view);
-    }
-    if (stats) {
-      ++stats->io_calls;
-      stats->io_bytes += runs[i].length;
-    }
-    if (m.io_calls) {
-      m.io_calls->inc();
-      m.io_bytes->inc(runs[i].length);
-    }
-  }
-  if (stats) stats->io_time += eng.now() - t_io;
-  if (m.io_s) m.io_s->observe(eng.now() - t_io);
+  const std::exception_ptr deferred =
+      co_await write_runs(comm, fs, file, runs, run_bufs, stats, options, m);
 
   co_await mprt::barrier(comm);  // collective completion
   if (deferred) std::rethrow_exception(deferred);
@@ -383,8 +479,7 @@ simkit::Task<void> hier_read(mprt::Comm& comm, pfs::StripedFs& fs,
   const auto bounds = co_await reduce_bounds(comm, mine);
   const Domains dom = make_domains(bounds.first, bounds.second, naggs,
                                    fs.stripe_map(file).stripe_unit());
-  if (stats) stats->exchange_time += eng.now() - t_meta;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_meta);
+  m.note_exchange_time(stats, eng.now() - t_meta);
   if (dom.chunk == 0) co_return;
 
   const bool serve_data = fs.is_backed(file);
@@ -411,120 +506,87 @@ simkit::Task<void> hier_read(mprt::Comm& comm, pfs::StripedFs& fs,
     packed_req += records_size(subs);
   }
   co_await comm.machine().mem_copy(packed_req);
-  auto requests = co_await mprt::alltoallv(comm, std::move(req_bytes),
-                                           std::move(req_views));
-  if (stats) stats->exchange_time += eng.now() - t_req;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_req);
+  // Only aggregators receive requests: they keep each requesting source's
+  // records, which later give way to its reply data.
+  struct Request {
+    mprt::Rank src;
+    std::vector<std::byte> bytes;
+  };
+  std::vector<Request> requests;
+  mprt::RecvSink keep = [&](mprt::Message& msg) {
+    if (!msg.payload.empty()) {
+      requests.push_back(Request{msg.src, std::move(msg.payload)});
+    }
+  };
+  co_await mprt::alltoallv(comm, std::move(req_bytes), std::move(req_views),
+                           std::move(keep));
+  m.note_exchange_time(stats, eng.now() - t_req);
 
   // ---- I/O phase (aggregators): pread the merged request runs ----------
   // Requests are decoded straight out of their payloads — here to plan
   // the runs and size the replies, and again to pack the replies when
   // the file serves real bytes.  No per-source record lists are kept.
-  const bool is_agg = comm.rank() % width == 0;
   std::vector<std::uint64_t> rep_bytes(static_cast<std::size_t>(p), 0);
   std::vector<Extent> recs;  // scratch, reused per source
-  std::vector<Extent> runs;
-  if (is_agg) {
-    std::vector<Extent> domain_pieces;
-    for (int s = 0; s < p; ++s) {
-      const auto su = static_cast<std::size_t>(s);
-      decode_records(requests[su].payload, recs);
-      rep_bytes[su] = total_length(recs);
-      domain_pieces.insert(domain_pieces.end(), recs.begin(), recs.end());
-    }
-    runs = TwoPhase::merge_runs(std::move(domain_pieces));
+  std::vector<Extent> domain_pieces;
+  for (const auto& req : requests) {
+    decode_records(req.bytes, recs);
+    rep_bytes[static_cast<std::size_t>(req.src)] = total_length(recs);
+    domain_pieces.insert(domain_pieces.end(), recs.begin(), recs.end());
   }
+  const auto runs = TwoPhase::merge_runs(std::move(domain_pieces));
   std::vector<std::vector<std::byte>> run_bufs(runs.size());
-  const simkit::Time t_io = eng.now();
-  std::exception_ptr deferred;  // see TwoPhaseOptions::retry
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (serve_data) run_bufs[i].resize(runs[i].length);
-    std::span<std::byte> run_view;
-    if (serve_data) run_view = run_bufs[i];
-    if (options.retry) {
-      try {
-        co_await resilient_pread(fs, comm.node(), file,
-                                 runs[i].file_offset, runs[i].length,
-                                 run_view, *options.retry,
-                                 options.retry_stats);
-      } catch (const pfs::IoError&) {
-        deferred = std::current_exception();
-        break;  // serve what we have; the caller discards on rethrow
-      }
-    } else {
-      co_await fs.pread(comm.node(), file, runs[i].file_offset,
-                        runs[i].length, run_view);
-    }
-    if (stats) {
-      ++stats->io_calls;
-      stats->io_bytes += runs[i].length;
-    }
-    if (m.io_calls) {
-      m.io_calls->inc();
-      m.io_bytes->inc(runs[i].length);
-    }
-  }
-  if (stats) stats->io_time += eng.now() - t_io;
-  if (m.io_s) m.io_s->observe(eng.now() - t_io);
-  if (deferred && serve_data) {
-    // Zero-fill unsized runs so the reply pack below stays valid; the
-    // caller discards the data on rethrow.
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      run_bufs[i].resize(runs[i].length);
-    }
-  }
+  const std::exception_ptr deferred = co_await read_runs(
+      comm, fs, file, runs, run_bufs, serve_data, stats, options, m);
 
   // ---- reply round: data back to requesters, in request order ----------
-  // Only an aggregator serving real bytes holds reply buffers.
+  // Only an aggregator serving real bytes holds reply buffers: each
+  // request's records give way to its reply data.
   const simkit::Time t_x = eng.now();
-  std::vector<std::vector<std::byte>> rep_store;
   std::vector<std::span<const std::byte>> rep_views;
   std::uint64_t packed = 0;
   for (const std::uint64_t bytes : rep_bytes) packed += bytes;
-  if (is_agg && serve_data) {
-    rep_store.resize(static_cast<std::size_t>(p));
+  if (serve_data && !requests.empty()) {
     rep_views.resize(static_cast<std::size_t>(p));
-    for (int s = 0; s < p; ++s) {
-      const auto su = static_cast<std::size_t>(s);
-      if (rep_bytes[su] == 0) continue;
-      decode_records(requests[su].payload, recs);
-      auto& buf = rep_store[su];
-      buf.reserve(rep_bytes[su]);
+    for (auto& req : requests) {
+      const auto su = static_cast<std::size_t>(req.src);
+      decode_records(req.bytes, recs);
+      std::vector<std::byte> reply;
+      reply.reserve(rep_bytes[su]);
       for (const auto& sub : recs) {
         const std::size_t ri = run_of(runs, sub.file_offset);
         const auto* src = run_bufs[ri].data() +
                           (sub.file_offset - runs[ri].file_offset);
-        buf.insert(buf.end(), src, src + sub.length);
+        reply.insert(reply.end(), src, src + sub.length);
       }
-      rep_views[su] = buf;
+      req.bytes = std::move(reply);
+      rep_views[su] = req.bytes;
     }
+  } else {
+    requests = {};  // timing-only: the records are spent
   }
-  // Every rank holds P request messages; free them before the reply round
-  // allocates P more.
-  requests = {};
   co_await comm.machine().mem_copy(packed);  // pack pass
-  auto replies = co_await mprt::alltoallv(comm, std::move(rep_bytes),
-                                          std::move(rep_views));
 
-  // Scatter replies by my own per-domain request order.
+  // Scatter each leader's reply as it arrives, by my own request order to
+  // that leader's domain.
   std::uint64_t unpacked = 0;
-  for (int a = 0; a < naggs; ++a) {
-    const auto& subs = my_subs[static_cast<std::size_t>(a)];
-    const auto& pay =
-        replies[static_cast<std::size_t>(leaders[a])].payload;
+  mprt::RecvSink scatter = [&](mprt::Message& msg) {
+    if (msg.src % width != 0) return;  // not a leader: sent nothing
+    const auto& subs = my_subs[static_cast<std::size_t>(msg.src / width)];
     std::size_t cursor = 0;
     for (const auto& sub : subs) {
-      if (!local_out.empty() && pay.size() >= cursor + sub.length) {
-        std::memcpy(local_out.data() + sub.buf_offset, pay.data() + cursor,
-                    sub.length);
+      if (!local_out.empty() && msg.payload.size() >= cursor + sub.length) {
+        std::memcpy(local_out.data() + sub.buf_offset,
+                    msg.payload.data() + cursor, sub.length);
       }
       cursor += sub.length;
       unpacked += sub.length;
     }
-  }
+  };
+  co_await mprt::alltoallv(comm, std::move(rep_bytes), std::move(rep_views),
+                           std::move(scatter));
   co_await comm.machine().mem_copy(unpacked);  // unpack pass
-  if (stats) stats->exchange_time += eng.now() - t_x;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_x);
+  m.note_exchange_time(stats, eng.now() - t_x);
   if (deferred) std::rethrow_exception(deferred);
 }
 
@@ -578,7 +640,7 @@ simkit::Task<void> TwoPhase::write(mprt::Comm& comm, pfs::StripedFs& fs,
   }
 
   const simkit::Time t_meta = eng.now();
-  const ExtentTable all = co_await allgather_extents(comm, mine);
+  ExtentTable all = co_await allgather_extents(comm, mine);
   // Ranks beyond the aggregator count own empty file domains and only
   // participate in the exchange (ROMIO's collective-buffering nodes).
   const int aggs = options.aggregators > 0 && options.aggregators <= p
@@ -586,17 +648,31 @@ simkit::Task<void> TwoPhase::write(mprt::Comm& comm, pfs::StripedFs& fs,
                        : p;
   const Domains dom =
       partition(all, aggs, fs.stripe_map(file).stripe_unit());
-  if (stats) stats->exchange_time += eng.now() - t_meta;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_meta);
+  m.note_exchange_time(stats, eng.now() - t_meta);
   if (dom.chunk == 0) co_return;
 
-  // ---- exchange phase: ship my pieces to their domain owners ----------
+  // ---- plan my domain's runs; keep only my domain's slice of the table --
   // Aggregator-side data handling keys off the FILE being backed, not off
   // this rank's own buffer: a rank with no pieces of its own still owns a
-  // domain and must land other ranks' real bytes.  Data bytes travel only
-  // when the file keeps them; the simulated sizes are the same either way.
-  const simkit::Time t_x = eng.now();
+  // domain and must land other ranks' real bytes.
   const bool assemble = fs.is_backed(file);
+  const auto [my_lo, my_hi] = dom.of(comm.rank());
+  DomainSlice slice = all.slice(my_lo, my_hi);
+  all = {};
+  const std::uint64_t unpacked = total_length(slice.ext);
+  const auto runs = merge_runs(slice.ext);
+  if (!assemble) slice = {};  // timing-only: the runs are all I need
+  std::vector<std::vector<std::byte>> run_bufs(runs.size());
+  if (assemble) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      run_bufs[i].resize(runs[i].length);
+    }
+  }
+
+  // ---- exchange phase: ship my pieces to their domain owners ----------
+  // Data bytes travel only when the file keeps them; the simulated sizes
+  // are the same either way.
+  const simkit::Time t_x = eng.now();
   const bool with_data = assemble && !local_data.empty();
   std::vector<std::uint64_t> send_bytes(static_cast<std::size_t>(p), 0);
   std::vector<std::vector<std::byte>> payload_store;
@@ -605,7 +681,7 @@ simkit::Task<void> TwoPhase::write(mprt::Comm& comm, pfs::StripedFs& fs,
     payload_store.resize(static_cast<std::size_t>(p));
     payload_views.resize(static_cast<std::size_t>(p));
   }
-  std::vector<Extent> subs;  // scratch, reused per domain / source
+  std::vector<Extent> subs;  // scratch, reused per domain
   std::uint64_t packed = 0;
   for (int d = 0; d < aggs; ++d) {
     const auto [dlo, dhi] = dom.of(d);
@@ -624,76 +700,30 @@ simkit::Task<void> TwoPhase::write(mprt::Comm& comm, pfs::StripedFs& fs,
     }
   }
   co_await comm.machine().mem_copy(packed);  // pack pass
-  // Named vectors, moved in: a temporary vector built inside a co_await
-  // argument list trips a GCC 12 coroutine temporary-lifetime bug.
-  // Empty views are equivalent to "no data".
-  auto received = co_await mprt::alltoallv(comm, std::move(send_bytes),
-                                           std::move(payload_views));
-
-  // ---- I/O phase: assemble my domain and write it in large runs -------
-  const auto [my_lo, my_hi] = dom.of(comm.rank());
-  std::vector<Extent> domain_pieces;
-  for (int s = 0; s < p; ++s) {
-    append_intersection(all.of(s), my_lo, my_hi, domain_pieces);
-  }
-  const std::uint64_t unpacked = total_length(domain_pieces);
-  const auto runs = merge_runs(std::move(domain_pieces));
-  std::vector<std::vector<std::byte>> run_bufs(runs.size());
-  if (assemble) {
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      run_bufs[i].resize(runs[i].length);
-    }
-    // Per-source sequential cursors over received payloads.
-    for (int s = 0; s < p; ++s) {
-      intersect_into(all.of(s), my_lo, my_hi, subs);
-      const auto& pay = received[static_cast<std::size_t>(s)].payload;
-      std::size_t cursor = 0;
-      for (const auto& sub : subs) {
-        const std::size_t ri = run_of(runs, sub.file_offset);
-        if (pay.size() >= cursor + sub.length) {
-          std::memcpy(run_bufs[ri].data() +
-                          (sub.file_offset - runs[ri].file_offset),
-                      pay.data() + cursor, sub.length);
-        }
-        cursor += sub.length;
+  // Each source's bytes land in my runs as they arrive, by a sequential
+  // cursor over its pieces in my domain.  Named vectors and sink, moved
+  // in: a temporary built inside a co_await argument list trips a GCC 12
+  // coroutine temporary-lifetime bug.  Empty views are "no data".
+  mprt::RecvSink land = [&](mprt::Message& msg) {
+    std::size_t cursor = 0;
+    for (const auto& sub : slice.of(msg.src)) {
+      const std::size_t ri = run_of(runs, sub.file_offset);
+      if (msg.payload.size() >= cursor + sub.length) {
+        std::memcpy(run_bufs[ri].data() +
+                        (sub.file_offset - runs[ri].file_offset),
+                    msg.payload.data() + cursor, sub.length);
       }
+      cursor += sub.length;
     }
-  }
+  };
+  co_await mprt::alltoallv(comm, std::move(send_bytes),
+                           std::move(payload_views), std::move(land));
   co_await comm.machine().mem_copy(unpacked);  // unpack pass
-  if (stats) stats->exchange_time += eng.now() - t_x;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_x);
+  m.note_exchange_time(stats, eng.now() - t_x);
 
-  const simkit::Time t_io = eng.now();
-  std::exception_ptr deferred;  // see TwoPhaseOptions::retry
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    // Named view, no ternary in the co_await argument list (GCC 12).
-    std::span<const std::byte> run_view;
-    if (assemble) run_view = run_bufs[i];
-    if (options.retry) {
-      try {
-        co_await resilient_pwrite(fs, comm.node(), file,
-                                  runs[i].file_offset, runs[i].length,
-                                  run_view, *options.retry,
-                                  options.retry_stats);
-      } catch (const pfs::IoError&) {
-        deferred = std::current_exception();
-        break;  // abandon my domain; complete the protocol below
-      }
-    } else {
-      co_await fs.pwrite(comm.node(), file, runs[i].file_offset,
-                         runs[i].length, run_view);
-    }
-    if (stats) {
-      ++stats->io_calls;
-      stats->io_bytes += runs[i].length;
-    }
-    if (m.io_calls) {
-      m.io_calls->inc();
-      m.io_bytes->inc(runs[i].length);
-    }
-  }
-  if (stats) stats->io_time += eng.now() - t_io;
-  if (m.io_s) m.io_s->observe(eng.now() - t_io);
+  // ---- I/O phase: write my domain in large runs ------------------------
+  const std::exception_ptr deferred =
+      co_await write_runs(comm, fs, file, runs, run_bufs, stats, options, m);
 
   co_await mprt::barrier(comm);  // collective completion
   if (deferred) std::rethrow_exception(deferred);
@@ -718,14 +748,13 @@ simkit::Task<void> TwoPhase::read(mprt::Comm& comm, pfs::StripedFs& fs,
   }
 
   const simkit::Time t_meta = eng.now();
-  const ExtentTable all = co_await allgather_extents(comm, mine);
+  ExtentTable all = co_await allgather_extents(comm, mine);
   const int aggs = options.aggregators > 0 && options.aggregators <= p
                        ? options.aggregators
                        : p;
   const Domains dom =
       partition(all, aggs, fs.stripe_map(file).stripe_unit());
-  if (stats) stats->exchange_time += eng.now() - t_meta;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_meta);
+  m.note_exchange_time(stats, eng.now() - t_meta);
   if (dom.chunk == 0) co_return;
 
   // Aggregator-side data handling keys off the FILE being backed (see the
@@ -733,107 +762,69 @@ simkit::Task<void> TwoPhase::read(mprt::Comm& comm, pfs::StripedFs& fs,
   const bool serve_data = fs.is_backed(file);
 
   // ---- I/O phase: read my domain's needed runs -------------------------
-  // One pass over the table yields both my domain's pieces and what each
-  // source gets back in the exchange.
+  // My domain's slice of the table yields both the runs and what each
+  // source gets back in the exchange; the table goes before the I/O.
   const auto [my_lo, my_hi] = dom.of(comm.rank());
+  DomainSlice slice = all.slice(my_lo, my_hi);
+  all = {};
   std::vector<std::uint64_t> send_bytes(static_cast<std::size_t>(p), 0);
-  std::vector<Extent> domain_pieces;
-  for (int s = 0; s < p; ++s) {
-    const std::size_t before = domain_pieces.size();
-    append_intersection(all.of(s), my_lo, my_hi, domain_pieces);
-    for (std::size_t i = before; i < domain_pieces.size(); ++i) {
-      send_bytes[static_cast<std::size_t>(s)] += domain_pieces[i].length;
+  for (const int s : slice.src) {
+    for (const auto& e : slice.of(s)) {
+      send_bytes[static_cast<std::size_t>(s)] += e.length;
     }
   }
-  const std::uint64_t packed = total_length(domain_pieces);
-  const auto runs = merge_runs(std::move(domain_pieces));
+  const std::uint64_t packed = total_length(slice.ext);
+  const auto runs = merge_runs(slice.ext);
+  if (!serve_data) slice = {};  // timing-only: nothing to pack later
   std::vector<std::vector<std::byte>> run_bufs(runs.size());
-  const simkit::Time t_io = eng.now();
-  std::exception_ptr deferred;  // see TwoPhaseOptions::retry
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    if (serve_data) run_bufs[i].resize(runs[i].length);
-    std::span<std::byte> run_view;
-    if (serve_data) run_view = run_bufs[i];
-    if (options.retry) {
-      try {
-        co_await resilient_pread(fs, comm.node(), file,
-                                 runs[i].file_offset, runs[i].length,
-                                 run_view, *options.retry,
-                                 options.retry_stats);
-      } catch (const pfs::IoError&) {
-        deferred = std::current_exception();
-        break;  // serve what we have; the caller discards on rethrow
-      }
-    } else {
-      co_await fs.pread(comm.node(), file, runs[i].file_offset,
-                        runs[i].length, run_view);
-    }
-    if (stats) {
-      ++stats->io_calls;
-      stats->io_bytes += runs[i].length;
-    }
-    if (m.io_calls) {
-      m.io_calls->inc();
-      m.io_bytes->inc(runs[i].length);
-    }
-  }
-  if (stats) stats->io_time += eng.now() - t_io;
-  if (m.io_s) m.io_s->observe(eng.now() - t_io);
-  if (deferred && serve_data) {
-    // A failed read broke out of the loop with later runs still unsized,
-    // but the pack pass below reads from every run.  Give them valid
-    // (zero-filled) storage; the caller discards the data on rethrow.
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      run_bufs[i].resize(runs[i].length);
-    }
-  }
+  const std::exception_ptr deferred = co_await read_runs(
+      comm, fs, file, runs, run_bufs, serve_data, stats, options, m);
 
   // ---- exchange phase: ship pieces to their requesters -----------------
+  // One reply buffer per source with pieces in my domain, in slice order.
   const simkit::Time t_x = eng.now();
   std::vector<std::vector<std::byte>> payload_store;
   std::vector<std::span<const std::byte>> payload_views;
-  std::vector<Extent> subs;  // scratch, reused per source / domain
   if (serve_data) {
-    payload_store.resize(static_cast<std::size_t>(p));
+    payload_store.resize(slice.src.size());
     payload_views.resize(static_cast<std::size_t>(p));
-    for (int s = 0; s < p; ++s) {
-      const auto su = static_cast<std::size_t>(s);
-      if (send_bytes[su] == 0) continue;
-      intersect_into(all.of(s), my_lo, my_hi, subs);
-      auto& buf = payload_store[su];
-      buf.reserve(send_bytes[su]);
-      for (const auto& sub : subs) {
+    for (std::size_t i = 0; i < slice.src.size(); ++i) {
+      const int s = slice.src[i];
+      auto& buf = payload_store[i];
+      buf.reserve(send_bytes[static_cast<std::size_t>(s)]);
+      for (const auto& sub : slice.of(s)) {
         const std::size_t ri = run_of(runs, sub.file_offset);
         const auto* src = run_bufs[ri].data() +
                           (sub.file_offset - runs[ri].file_offset);
         buf.insert(buf.end(), src, src + sub.length);
       }
-      payload_views[su] = buf;
+      payload_views[static_cast<std::size_t>(s)] = buf;
     }
   }
   co_await comm.machine().mem_copy(packed);  // pack pass
-  auto received = co_await mprt::alltoallv(comm, std::move(send_bytes),
-                                           std::move(payload_views));
 
-  // Scatter replies into my local buffer, per-domain sequential order.
+  // Scatter each reply into my local buffer as it arrives, by a
+  // sequential cursor over my pieces in the sender's domain.
+  std::vector<Extent> subs;  // scratch, reused per domain
   std::uint64_t unpacked = 0;
-  for (int d = 0; d < aggs; ++d) {
-    const auto [dlo, dhi] = dom.of(d);
+  mprt::RecvSink scatter = [&](mprt::Message& msg) {
+    if (msg.src >= aggs) return;  // owns no domain, sent nothing
+    const auto [dlo, dhi] = dom.of(msg.src);
     intersect_into(mine, dlo, dhi, subs);
-    const auto& pay = received[static_cast<std::size_t>(d)].payload;
     std::size_t cursor = 0;
     for (const auto& sub : subs) {
-      if (!local_out.empty() && pay.size() >= cursor + sub.length) {
-        std::memcpy(local_out.data() + sub.buf_offset, pay.data() + cursor,
-                    sub.length);
+      if (!local_out.empty() && msg.payload.size() >= cursor + sub.length) {
+        std::memcpy(local_out.data() + sub.buf_offset,
+                    msg.payload.data() + cursor, sub.length);
       }
       cursor += sub.length;
       unpacked += sub.length;
     }
-  }
+  };
+  co_await mprt::alltoallv(comm, std::move(send_bytes),
+                           std::move(payload_views), std::move(scatter));
   co_await comm.machine().mem_copy(unpacked);  // unpack pass
-  if (stats) stats->exchange_time += eng.now() - t_x;
-  if (m.exchange_s) m.exchange_s->observe(eng.now() - t_x);
+  m.note_exchange_time(stats, eng.now() - t_x);
   if (deferred) std::rethrow_exception(deferred);
 }
 

@@ -7,6 +7,8 @@
 #include <cstring>
 #include <functional>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "hw/machine.hpp"
@@ -103,7 +105,11 @@ TEST_P(CollectiveSweep, AlltoallvExchangesPersonalizedData) {
       sizes[static_cast<std::size_t>(d)] = b.size();
       views[static_cast<std::size_t>(d)] = b;
     }
-    auto msgs = co_await alltoallv(c, sizes, views);
+    std::vector<Message> msgs(static_cast<std::size_t>(p));
+    RecvSink by_src = [&msgs](Message& m) {
+      msgs[static_cast<std::size_t>(m.src)] = std::move(m);
+    };
+    co_await alltoallv(c, sizes, views, by_src);
     bool all_good = msgs.size() == static_cast<std::size_t>(p);
     for (int s = 0; s < p && all_good; ++s) {
       const auto& m = msgs[static_cast<std::size_t>(s)];
@@ -196,15 +202,17 @@ std::uint64_t pair_size(int r, int d, unsigned seed) {
   return v % 300;
 }
 
-std::vector<std::vector<Delivery>> run_alltoallv(CollectiveTopology topo,
-                                                 int p, unsigned seed,
-                                                 bool with_payloads) {
+// One alltoallv of pair_size(r, d, seed) blocks under `topo`; rank r's
+// receipts go to sink_for(r).  Payload bytes, when carried, are
+// (r * 16 + d + seed).
+void exchange(CollectiveTopology topo, int p, unsigned seed,
+              bool with_payloads,
+              const std::function<RecvSink(Rank)>& sink_for) {
   simkit::Engine eng;
   hw::Machine machine(
       eng, hw::MachineConfig::paragon_small(static_cast<std::size_t>(p), 2));
   Cluster cluster(machine, p);
   cluster.set_topology(topo);
-  std::vector<std::vector<Delivery>> got(static_cast<std::size_t>(p));
   const std::function<simkit::Task<void>(Comm&)> body =
       [&](Comm& c) -> simkit::Task<void> {
     const int r = c.rank();
@@ -223,14 +231,26 @@ std::vector<std::vector<Delivery>> run_alltoallv(CollectiveTopology topo,
     }
     std::vector<std::span<const std::byte>> pass;
     if (with_payloads) pass = views;
-    auto msgs = co_await alltoallv(c, sizes, pass);
-    auto& mine = got[static_cast<std::size_t>(r)];
-    for (auto& m : msgs) {
-      mine.push_back(Delivery{m.src, m.bytes, std::move(m.payload)});
-    }
+    RecvSink sink = sink_for(r);  // named: no temporaries in co_await args
+    co_await alltoallv(c, sizes, pass, std::move(sink));
   };
   eng.spawn(cluster.run(body));
   eng.run();
+}
+
+// Per rank, one Delivery per source, filled in by source index.
+std::vector<std::vector<Delivery>> run_alltoallv(CollectiveTopology topo,
+                                                 int p, unsigned seed,
+                                                 bool with_payloads) {
+  std::vector<std::vector<Delivery>> got(
+      static_cast<std::size_t>(p),
+      std::vector<Delivery>(static_cast<std::size_t>(p), Delivery{-1, 0, {}}));
+  exchange(topo, p, seed, with_payloads, [&](Rank r) -> RecvSink {
+    return [&mine = got[static_cast<std::size_t>(r)]](Message& m) {
+      mine[static_cast<std::size_t>(m.src)] =
+          Delivery{m.src, m.bytes, std::move(m.payload)};
+    };
+  });
   return got;
 }
 
@@ -320,6 +340,88 @@ TEST(Collectives, TwoLevelHelpers) {
             16);  // clamped to P
   EXPECT_EQ(two_level_leaders(10, 4), (std::vector<Rank>{0, 4, 8}));
   EXPECT_EQ(two_level_leaders(8, 4), (std::vector<Rank>{0, 4}));
+}
+
+// The sink contract: every source — self and zero-byte sources included —
+// reaches each rank's sink exactly once, with its own src, simulated size
+// and payload, under every routing kind.
+TEST(Collectives, AlltoallvSinkSeesEachSourceOnce) {
+  for (const int p : {1, 2, 3, 5, 8, 13, 16}) {
+    std::vector<CollectiveTopology> topos = {
+        {CollectiveTopology::Kind::kFlat, 0},
+        {CollectiveTopology::Kind::kBruck, 0}};
+    for (const int width : {0, 1, 3, 4, p}) {
+      topos.push_back({CollectiveTopology::Kind::kTwoLevel, width});
+    }
+    for (const CollectiveTopology& topo : topos) {
+      for (const bool with_payloads : {true, false}) {
+        constexpr unsigned kSeed = 5u;
+        std::vector<std::vector<Delivery>> calls(static_cast<std::size_t>(p));
+        exchange(topo, p, kSeed, with_payloads, [&](Rank r) -> RecvSink {
+          return [&log = calls[static_cast<std::size_t>(r)]](Message& m) {
+            log.push_back(Delivery{m.src, m.bytes, m.payload});
+          };
+        });
+        const std::string where =
+            "p=" + std::to_string(p) +
+            " kind=" + std::to_string(static_cast<int>(topo.kind)) +
+            " width=" + std::to_string(topo.group_size) +
+            " payloads=" + std::to_string(with_payloads);
+        int zero_sources = 0;
+        for (int r = 0; r < p; ++r) {
+          const auto& log = calls[static_cast<std::size_t>(r)];
+          ASSERT_EQ(log.size(), static_cast<std::size_t>(p))
+              << where << " rank " << r;
+          std::vector<int> seen(static_cast<std::size_t>(p), 0);
+          for (const Delivery& d : log) {
+            ASSERT_GE(d.src, 0) << where;
+            ASSERT_LT(d.src, p) << where;
+            ++seen[static_cast<std::size_t>(d.src)];
+            const std::uint64_t want = pair_size(d.src, r, kSeed);
+            EXPECT_EQ(d.bytes, want) << where << " " << d.src << "->" << r;
+            std::vector<std::byte> pay;
+            if (with_payloads) {
+              pay.assign(want, static_cast<std::byte>(d.src * 16 + r + kSeed));
+            }
+            EXPECT_EQ(d.payload, pay) << where << " " << d.src << "->" << r;
+            if (want == 0) ++zero_sources;
+          }
+          for (int s = 0; s < p; ++s) {
+            EXPECT_EQ(seen[static_cast<std::size_t>(s)], 1)
+                << where << " rank " << r << " source " << s;
+          }
+        }
+        if (p >= 5) {
+          EXPECT_GT(zero_sources, 0) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(Collectives, NegativeGroupSizeIsTypedError) {
+  simkit::Engine eng;
+  hw::Machine machine(eng, hw::MachineConfig::paragon_small(16, 2));
+  Cluster cluster(machine, 16);
+  cluster.set_topology({CollectiveTopology::Kind::kTwoLevel, 4});
+  EXPECT_THROW(
+      cluster.set_topology({CollectiveTopology::Kind::kTwoLevel, -1}),
+      TopologyError);
+  // Typed, but still an invalid_argument for generic callers.
+  EXPECT_THROW(cluster.set_topology({CollectiveTopology::Kind::kFlat, -8}),
+               std::invalid_argument);
+  // A rejected topology leaves the previous one in place.
+  EXPECT_EQ(cluster.topology().kind, CollectiveTopology::Kind::kTwoLevel);
+  EXPECT_EQ(cluster.topology().group_size, 4);
+  EXPECT_THROW(
+      two_level_group_width(16, {CollectiveTopology::Kind::kTwoLevel, -3}),
+      TopologyError);
+  // Zero (the sqrt default) and widths above P (one group) stay legal.
+  EXPECT_NO_THROW(cluster.set_topology({CollectiveTopology::Kind::kTwoLevel,
+                                        0}));
+  EXPECT_NO_THROW(cluster.set_topology({CollectiveTopology::Kind::kTwoLevel,
+                                        64}));
+  EXPECT_EQ(two_level_group_width(16, cluster.topology()), 16);
 }
 
 TEST(Collectives, ConsecutiveCollectivesDoNotCrossTalk) {

@@ -226,6 +226,105 @@ TEST(TwoPhase, UnevenContributionsWork) {
   for (int r = 0; r < p; ++r) EXPECT_TRUE(ok[static_cast<std::size_t>(r)]);
 }
 
+// The flat write lands each source's bytes in the aggregator's runs as
+// they arrive.  Uneven, interleaved pieces (lengths 100..1299, gaps, each
+// rank's buffer in reverse file order) with 3 aggregators for 7 ranks, and
+// rank 2 — an aggregator — contributing nothing: the file must match
+// direct pwrites byte for byte, rank 2 must still write its domain, and a
+// collective read must give every rank its bytes back.
+TEST(TwoPhase, FlatWriteStreamedAssemblyByteExact) {
+  constexpr int p = 7;
+  constexpr int kIdle = 2;
+  constexpr std::uint64_t kRecs = 640;
+  auto value = [](std::uint64_t off) {
+    return static_cast<std::byte>((off * 131 + 7) % 251);
+  };
+  // Record i: [off_i, off_i + len_i), owned by (i * 5 + 3) % p unless that
+  // is the idle rank.  Every seventh record is a hole nobody writes.
+  struct Rec {
+    std::uint64_t off, len;
+    int owner;
+  };
+  std::vector<Rec> recs;
+  std::uint64_t off = 0;
+  for (std::uint64_t i = 0; i < kRecs; ++i) {
+    const std::uint64_t len = 100 + (i * 397) % 1200;
+    int owner = static_cast<int>((i * 5 + 3) % p);
+    if (owner == kIdle) owner = (owner + 1) % p;
+    if (i % 7 != 6) recs.push_back(Rec{off, len, owner});
+    off += len;
+  }
+  const std::uint64_t file_bytes = off;
+  ASSERT_GT(file_bytes, 3u * 64 * 1024);  // every aggregator owns a domain
+
+  auto pieces_of = [&](int r) {
+    std::vector<Extent> mine;
+    std::uint64_t buf = 0;
+    for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
+      if (it->owner != r) continue;
+      mine.push_back(Extent{it->off, it->len, buf});
+      buf += it->len;
+    }
+    return mine;
+  };
+  auto data_of = [&](const std::vector<Extent>& mine) {
+    std::vector<std::byte> data(total_length(mine));
+    for (const auto& e : mine) {
+      for (std::uint64_t b = 0; b < e.length; ++b) {
+        data[e.buf_offset + b] = value(e.file_offset + b);
+      }
+    }
+    return data;
+  };
+
+  auto image = [&](bool collective, std::vector<TwoPhaseStats>* stats,
+                   std::vector<bool>* read_ok) {
+    simkit::Engine eng;
+    hw::Machine machine(eng, hw::MachineConfig::paragon_small(p, 2));
+    pfs::StripedFs fs(machine);
+    const pfs::FileId f = fs.create("streamed", /*backed=*/true);
+    mprt::Cluster::execute(machine, p, [&](mprt::Comm& c)
+                                           -> simkit::Task<void> {
+      const auto ru = static_cast<std::size_t>(c.rank());
+      const auto mine = pieces_of(c.rank());
+      const auto data = data_of(mine);
+      if (!collective) {
+        for (const auto& e : mine) {
+          co_await fs.pwrite(c.node(), f, e.file_offset, e.length,
+                             std::span<const std::byte>(data).subspan(
+                                 e.buf_offset, e.length));
+        }
+        co_return;
+      }
+      TwoPhaseOptions opt;
+      opt.aggregators = 3;
+      co_await TwoPhase::write(c, fs, f, mine, data, &(*stats)[ru], opt);
+      std::vector<std::byte> back(data.size(), std::byte{0xEE});
+      co_await TwoPhase::read(c, fs, f, mine, back, nullptr, opt);
+      (*read_ok)[ru] = back == data;
+    });
+    std::vector<std::byte> whole(file_bytes);
+    fs.peek(f, 0, whole);
+    return whole;
+  };
+
+  std::vector<TwoPhaseStats> stats(p);
+  std::vector<bool> read_ok(p, false);
+  const auto collective = image(true, &stats, &read_ok);
+  const auto direct = image(false, nullptr, nullptr);
+  EXPECT_EQ(collective, direct);
+  EXPECT_TRUE(pieces_of(kIdle).empty());
+  EXPECT_GT(stats[kIdle].io_bytes, 0u)
+      << "the idle aggregator must still write other ranks' bytes";
+  for (int r = 3; r < p; ++r) {
+    EXPECT_EQ(stats[static_cast<std::size_t>(r)].io_calls, 0u)
+        << "rank " << r << " is not an aggregator";
+  }
+  for (int r = 0; r < p; ++r) {
+    EXPECT_TRUE(read_ok[static_cast<std::size_t>(r)]) << "rank " << r;
+  }
+}
+
 // Regression: a backed-file collective read whose retry ladder runs dry
 // breaks out of the I/O loop early, but the exchange phase still packs
 // from EVERY run buffer.  The unread runs must be valid (zeroed) storage,
