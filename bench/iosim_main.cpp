@@ -1,5 +1,5 @@
 // The single experiment driver: every paper table/figure, ablation, fault
-// study, and micro-benchmark is a registered scenario.
+// study, and the engine benchmark is a registered scenario.
 //
 //   iosim list
 //   iosim run <name>... [--check] [--csv] [--scale=F | --full] [-j N]

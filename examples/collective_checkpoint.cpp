@@ -2,13 +2,12 @@
 //
 // A 16-process stencil code owns a block-decomposed 512x512 grid of
 // doubles and checkpoints it to one shared, column-major file every few
-// steps.  The example times three strategies on the same simulated SP-2:
+// steps.  The example times two strategies on the same simulated SP-2:
 //
 //   naive       one seek+write per non-contiguous piece (MPI-2 Unix style)
-//   sieved      each process writes its pieces via data-sieving windows
 //   collective  one two-phase collective write per checkpoint
 //
-// and verifies (data-backed) that all three land identical bytes.
+// and verifies (data-backed) that both land identical bytes.
 //
 // A second act runs the same grid through `ckpt::run`'s checkpoint
 // policies ({sync|async} x {full|incremental}) under injected I/O-node
@@ -26,7 +25,6 @@
 #include "hw/machine.hpp"
 #include "mprt/collectives.hpp"
 #include "mprt/comm.hpp"
-#include "pario/sieve.hpp"
 #include "pario/twophase.hpp"
 #include "pfs/fs.hpp"
 #include "simkit/engine.hpp"
@@ -60,7 +58,7 @@ std::vector<std::byte> my_data(int rank) {
   return data;
 }
 
-enum class Strategy { kNaive, kSieved, kCollective };
+enum class Strategy { kNaive, kCollective };
 
 struct Outcome {
   double exec = 0.0;
@@ -88,11 +86,6 @@ Outcome run(Strategy strat) {
                 co_await fs.pwrite(c.node(), f, e.file_offset, e.length,
                                    view.subspan(e.buf_offset, e.length));
               }
-              co_await mprt::barrier(c);
-              break;
-            case Strategy::kSieved:
-              co_await pario::sieved_write(fs, c.node(), f, pieces, data,
-                                           /*max_window=*/1 << 20);
               co_await mprt::barrier(c);
               break;
             case Strategy::kCollective:
@@ -138,7 +131,6 @@ ckpt::Report run_policy(ckpt::Policy pol) {
 
 int main() {
   const Outcome naive = run(Strategy::kNaive);
-  const Outcome sieved = run(Strategy::kSieved);
   const Outcome collective = run(Strategy::kCollective);
 
   std::printf("checkpointing a %llux%llu grid from %d processes, %d "
@@ -146,13 +138,10 @@ int main() {
               static_cast<unsigned long long>(kGrid),
               static_cast<unsigned long long>(kGrid), kProcs, kCheckpoints);
   std::printf("  naive seek+write : %8.2f s simulated\n", naive.exec);
-  std::printf("  data sieving     : %8.2f s simulated (%.1fx)\n",
-              sieved.exec, naive.exec / sieved.exec);
   std::printf("  two-phase        : %8.2f s simulated (%.1fx)\n\n",
               collective.exec, naive.exec / collective.exec);
 
-  const bool identical = naive.file_bytes == sieved.file_bytes &&
-                         naive.file_bytes == collective.file_bytes;
+  const bool identical = naive.file_bytes == collective.file_bytes;
   std::printf("checkpoint files byte-identical across strategies: %s\n",
               identical ? "yes" : "NO (bug!)");
 

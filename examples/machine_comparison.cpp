@@ -66,7 +66,8 @@ int main() {
   table.add_row({"SP-2 (4 io nodes, PIOFS)", expt::fmt("%.2f", sp2.write),
                  expt::fmt("%.2f", sp2.read),
                  sp2.write < sp2.read ? "writes" : "reads"});
-  std::printf("Same workload, both platform models:\n%s\n", table.str().c_str());
+  std::printf("Same workload, both platform models:\n%s\n",
+              table.str().c_str());
 
   const bool asymmetry =
       (paragon.write / paragon.read) < (sp2.write / sp2.read);

@@ -7,8 +7,8 @@
 // and every pencil is one contiguous x-row of n*5 doubles in the file —
 // so the unoptimized code issues one seek+write pair per pencil (the
 // paper: "the code contains a lot of seek operations").  The optimized
-// version describes the scattered solution with a datatype and writes it
-// in a single two-phase collective call per dump (paper §4.5).
+// version hands each rank's pencil extents to a single two-phase
+// collective call per dump (paper §4.5).
 #pragma once
 
 #include <cstdint>

@@ -168,7 +168,8 @@ struct Report {
   simkit::Duration ckpt_overhead = 0.0; // wall time ranks BLOCK for
                                         // checkpointing (sync: the write;
                                         // async: staging + budget waits)
-  simkit::Duration lost_work = 0.0;     // productive time discarded by rollbacks
+  simkit::Duration lost_work = 0.0;     // productive time discarded by
+                                        // rollbacks
   simkit::Duration recovery_time = 0.0; // outage wait + checkpoint re-reads
   int checkpoints = 0;                  // committed checkpoints (full+delta)
   int restarts = 0;

@@ -20,11 +20,14 @@
 //   --all / --list scenario selection (iosim only)
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 namespace expt {
 
@@ -43,9 +46,10 @@ struct Options {
   std::string golden;        // determinism gate: pinned-output file
   bool all = false;          // iosim run --all
   bool list = false;         // iosim --list
-  /// Set by parse() on the first unknown `-`/`--` token: a message naming
-  /// the bad option and listing the valid ones.  Callers print it and
-  /// exit 2; positionals (scenario names) never trigger it.
+  /// Set by parse() on the first unknown `-`/`--` token (a message naming
+  /// the bad option and listing the valid ones) or the first malformed
+  /// value (a message naming the flag and the value).  Callers print it
+  /// and exit 2; positionals (scenario names) never trigger it.
   std::string error;
 
   explicit Options(double default_scale = 0.25) : scale(default_scale) {}
@@ -62,7 +66,10 @@ struct Options {
         scale = 1.0;
         scale_given = true;
       } else if (std::strncmp(a, "--scale=", 8) == 0) {
-        scale = std::atof(a + 8);
+        if (!parse_value(a + 8, scale) || !std::isfinite(scale) ||
+            scale <= 0.0) {
+          bad_value("--scale", a + 8, "a finite number > 0");
+        }
         scale_given = true;
       } else if (std::strcmp(a, "--check") == 0) {
         check = true;
@@ -75,17 +82,19 @@ struct Options {
       } else if (std::strncmp(a, "--policy=", 9) == 0) {
         policy = a + 9;
       } else if (std::strncmp(a, "--seed=", 7) == 0) {
-        seed = std::strtoull(a + 7, nullptr, 10);
+        if (!parse_value(a + 7, seed)) {
+          bad_value("--seed", a + 7, "a non-negative integer");
+        }
       } else if (std::strcmp(a, "--audit") == 0) {
         audit = true;
       } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-        jobs = std::atoi(a + 7);
+        parse_count("--jobs", a + 7, jobs);
       } else if (std::strcmp(a, "-j") == 0 && i + 1 < argc) {
-        jobs = std::atoi(argv[++i]);
+        parse_count("-j", argv[++i], jobs);
       } else if (std::strncmp(a, "-j", 2) == 0 && a[2] != '\0') {
-        jobs = std::atoi(a + 2);
+        parse_count("-j", a + 2, jobs);
       } else if (std::strncmp(a, "--repeat=", 9) == 0) {
-        repeat = std::atoi(a + 9);
+        parse_count("--repeat", a + 9, repeat);
       } else if (std::strncmp(a, "--golden=", 9) == 0) {
         golden = a + 9;
       } else if (std::strcmp(a, "--all") == 0) {
@@ -109,8 +118,32 @@ struct Options {
                 "--help)";
       }
     }
-    if (jobs < 1) jobs = 1;
-    if (repeat < 1) repeat = 1;
+  }
+
+ private:
+  /// Strict number parse: the whole token must be the value (no sign on
+  /// unsigned types, no leading space, no trailing text, no overflow).
+  template <typename T>
+  static bool parse_value(const char* s, T& out) {
+    const char* end = s + std::strlen(s);
+    T v{};
+    const auto [ptr, ec] = std::from_chars(s, end, v);
+    if (ec != std::errc() || ptr != end) return false;
+    out = v;
+    return true;
+  }
+
+  /// A thread/repeat count: an integer >= 1.
+  void parse_count(const char* flag, const char* s, int& out) {
+    if (!parse_value(s, out) || out < 1) {
+      bad_value(flag, s, "an integer >= 1");
+    }
+  }
+
+  void bad_value(const char* flag, const char* s, const char* want) {
+    if (!error.empty()) return;
+    error = std::string("invalid value '") + s + "' for " + flag +
+            " (want " + want + ")";
   }
 };
 

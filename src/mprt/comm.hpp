@@ -116,7 +116,9 @@ class Comm {
 
   /// Next tag for internal collective rounds; stays in lock-step across
   /// ranks because collectives are called in SPMD order.
-  int next_collective_tag() { return kCollectiveTagBase + (coll_seq_++ & 0xFFFF); }
+  int next_collective_tag() {
+    return kCollectiveTagBase + (coll_seq_++ & 0xFFFF);
+  }
 
   /// The cluster-wide collective routing policy (see CollectiveTopology).
   const CollectiveTopology& topology() const noexcept;

@@ -128,8 +128,8 @@ int run_scenarios(const std::vector<const Spec*>& specs,
   const auto t0 = std::chrono::steady_clock::now();
 
   // Simulator scenarios fan out across the budget; wall-clock scenarios
-  // (google-benchmark micros share mutable library state) run serially
-  // on this thread once the parallel batch has drained.
+  // (host timings that concurrent work would skew) run serially on this
+  // thread once the parallel batch has drained.
   std::vector<std::size_t> parallel, serial;
   for (std::size_t i = 0; i < specs.size(); ++i) {
     (specs[i]->wallclock ? serial : parallel).push_back(i);

@@ -97,8 +97,8 @@ struct Spec {
   std::string description;
   double default_scale = 1.0;
   std::vector<Axis> grid;   // declarative grid (may be empty)
-  // Output contains host wall-clock timings (google-benchmark micros):
-  // excluded from golden/repeat gates and run serially.
+  // Output contains host wall-clock timings (engine_bench): excluded
+  // from golden/repeat gates and run serially.
   bool wallclock = false;
   std::function<void(Context&)> run;
 };
@@ -120,8 +120,6 @@ class Context {
   // -- output ---------------------------------------------------------
   void print(std::string_view s) { out_ << s; }
   void printf(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-  /// Raw stream for code that wants an std::ostream (micro reporters).
-  std::ostream& stream() { return out_; }
   std::string output() const { return out_.str(); }
 
   // -- shape checks ---------------------------------------------------

@@ -305,8 +305,8 @@ TEST(Ckpt, SameDomainPlacementLosesScrubbedCheckpoint) {
   // Primary AND mirror behind rack switch 0: one scrubbing power event
   // destroys every copy of the committed checkpoint, and the job has to
   // restart from step 0.
-  const DomainRun dr = run_domains(rack0_scrub_outage(),
-                                   domain_options(Options::Placement::kSameDomain));
+  const DomainRun dr = run_domains(
+      rack0_scrub_outage(), domain_options(Options::Placement::kSameDomain));
   for (const std::uint32_t s : dr.ckpt_servers) EXPECT_LT(s, 2u);
   for (const std::uint32_t s : dr.mirror_servers) EXPECT_LT(s, 2u);
   EXPECT_TRUE(dr.rep.completed);

@@ -1,5 +1,6 @@
 // Tests for expt::Options command-line parsing — especially the strict
-// unknown-flag rejection (parse records the error; callers exit 2).
+// unknown-flag and bad-value rejection (parse records the error; callers
+// exit 2).  Parse-only: nothing here starts a thread.
 #include "exp/options.hpp"
 
 #include <gtest/gtest.h>
@@ -82,6 +83,61 @@ TEST(Options, MisspelledKnownFlagIsRejected) {
   const expt::Options opt = parse({"--scale", "0.5"});  // missing '='
   ASSERT_FALSE(opt.error.empty());
   EXPECT_NE(opt.error.find("'--scale'"), std::string::npos);
+}
+
+TEST(Options, RejectsMalformedScale) {
+  for (const char* bad : {"--scale=abc", "--scale=", "--scale=0",
+                          "--scale=-1", "--scale=0.5x", "--scale=inf",
+                          "--scale=nan", "--scale=1e999"}) {
+    const expt::Options opt = parse({bad});
+    ASSERT_FALSE(opt.error.empty()) << bad;
+    // The message names the flag and echoes the bad value.
+    EXPECT_NE(opt.error.find("--scale"), std::string::npos) << bad;
+    EXPECT_NE(opt.error.find(std::string("'") + (bad + 8) + "'"),
+              std::string::npos)
+        << bad;
+  }
+  EXPECT_TRUE(parse({"--scale=1e-3"}).error.empty());
+}
+
+TEST(Options, RejectsMalformedSeed) {
+  for (const char* bad : {"--seed=xyz", "--seed=", "--seed=-1",
+                          "--seed=+1", "--seed= 7", "--seed=7x",
+                          "--seed=99999999999999999999999"}) {
+    const expt::Options opt = parse({bad});
+    ASSERT_FALSE(opt.error.empty()) << bad;
+    EXPECT_NE(opt.error.find("--seed"), std::string::npos) << bad;
+  }
+  const expt::Options opt = parse({"--seed=18446744073709551615"});
+  EXPECT_TRUE(opt.error.empty());
+  EXPECT_EQ(opt.seed, 18446744073709551615u);
+}
+
+TEST(Options, RejectsMalformedCounts) {
+  struct Case {
+    std::vector<const char*> args;
+    const char* value;  // what the message must echo
+  };
+  const std::vector<Case> cases = {
+      {{"-j", "abc"}, "abc"},      {{"-jabc"}, "abc"},
+      {{"-j", "0"}, "0"},          {{"--jobs=0"}, "0"},
+      {{"--jobs=-3"}, "-3"},       {{"--jobs=2x"}, "2x"},
+      {{"--jobs="}, ""},           {{"--repeat=-2"}, "-2"},
+      {{"--repeat=0"}, "0"},       {{"--repeat=two"}, "two"},
+      {{"--repeat=1.5"}, "1.5"},   {{"--jobs=99999999999"}, "99999999999"}};
+  for (const Case& c : cases) {
+    const expt::Options opt = parse(c.args);
+    ASSERT_FALSE(opt.error.empty()) << c.args.back();
+    EXPECT_NE(opt.error.find(std::string("'") + c.value + "'"),
+              std::string::npos)
+        << opt.error;
+  }
+}
+
+TEST(Options, BadValueErrorIsTheFirstOne) {
+  const expt::Options opt = parse({"--repeat=0", "--no-such-flag"});
+  EXPECT_NE(opt.error.find("--repeat"), std::string::npos);
+  EXPECT_EQ(opt.error.find("--no-such-flag"), std::string::npos);
 }
 
 }  // namespace

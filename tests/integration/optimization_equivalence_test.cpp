@@ -1,7 +1,7 @@
-// Cross-optimization integrity: every access strategy in the library must
-// produce byte-identical file/buffer contents on the same scattered
-// pattern — they only differ in cost.  Randomized patterns, multiple
-// seeds (parameterized).
+// Cross-optimization integrity: independent per-piece I/O and two-phase
+// collective I/O must produce byte-identical file/buffer contents on the
+// same scattered pattern — they only differ in cost.  Randomized
+// patterns, multiple seeds (parameterized).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,7 +9,6 @@
 
 #include "hw/machine.hpp"
 #include "mprt/comm.hpp"
-#include "pario/sieve.hpp"
 #include "pario/twophase.hpp"
 #include "pfs/fs.hpp"
 #include "simkit/engine.hpp"
@@ -53,7 +52,7 @@ class Equivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Equivalence, AllWriteStrategiesProduceTheSameFile) {
   const std::uint64_t seed = GetParam();
-  enum class How { kDirect, kSieved, kTwoPhase };
+  enum class How { kDirect, kTwoPhase };
   auto run = [&](How how) {
     simkit::Engine eng;
     hw::Machine machine(eng, hw::MachineConfig::paragon_small(kProcs, 2));
@@ -72,9 +71,6 @@ TEST_P(Equivalence, AllWriteStrategiesProduceTheSameFile) {
                                                          e.length));
           }
           break;
-        case How::kSieved:
-          co_await sieved_write(fs, c.node(), f, pieces, data, 64 * 1024);
-          break;
         case How::kTwoPhase:
           co_await TwoPhase::write(c, fs, f, pieces, data);
           break;
@@ -85,7 +81,6 @@ TEST_P(Equivalence, AllWriteStrategiesProduceTheSameFile) {
     return whole;
   };
   const auto direct = run(How::kDirect);
-  EXPECT_EQ(run(How::kSieved), direct);
   EXPECT_EQ(run(How::kTwoPhase), direct);
 }
 
@@ -107,9 +102,12 @@ TEST_P(Equivalence, AllReadStrategiesSeeTheSameBytes) {
                                               -> simkit::Task<void> {
     auto pieces = random_pieces(c.rank(), seed);
     const std::uint64_t n = total_length(pieces);
-    std::vector<std::byte> direct(n), sieved(n), collective(n);
-    co_await direct_read(fs, c.node(), f, pieces, direct);
-    co_await sieved_read(fs, c.node(), f, pieces, sieved, 32 * 1024);
+    std::vector<std::byte> direct(n), collective(n);
+    for (const auto& e : pieces) {
+      co_await fs.pread(
+          c.node(), f, e.file_offset, e.length,
+          std::span<std::byte>(direct).subspan(e.buf_offset, e.length));
+    }
     co_await TwoPhase::read(c, fs, f, pieces, collective);
     // Reference: gather from the known contents.
     std::vector<std::byte> want(n);
@@ -117,7 +115,7 @@ TEST_P(Equivalence, AllReadStrategiesSeeTheSameBytes) {
       std::memcpy(want.data() + e.buf_offset,
                   content.data() + e.file_offset, e.length);
     }
-    if (direct != want || sieved != want || collective != want) {
+    if (direct != want || collective != want) {
       ++mismatches;
     }
   });

@@ -494,7 +494,8 @@ void differential(std::uint64_t seed, std::size_t capacity,
   const std::uint64_t universe = 3 * capacity;
   int rejected = 0;  // inserts refused because every resident was pinned
   for (int op = 0; op < 20000; ++op) {
-    const iosrv::BlockKey k = key(rng.uniform_int(3), rng.uniform_int(universe));
+    const iosrv::BlockKey k =
+        key(rng.uniform_int(3), rng.uniform_int(universe));
     const double u = rng.uniform();
     const std::string at = "seed " + std::to_string(seed) + " op " +
                            std::to_string(op);

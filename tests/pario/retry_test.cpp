@@ -218,7 +218,9 @@ TEST(HealthTracker, EwmaLatencyAndErrorDecay) {
 TEST(Resilient, HedgedReadWinsOverDegradedPrimary) {
   fault::InjectionPlan plan;
   // Every disk on node 0 sticks hard from t=50 on.
-  for (std::uint32_t d = 0; d < 8; ++d) plan.degrade_disk(0, d, 50.0, 1e6, 200.0);
+  for (std::uint32_t d = 0; d < 8; ++d) {
+    plan.degrade_disk(0, d, 50.0, 1e6, 200.0);
+  }
   fault::Injector inj(plan);
   Rig rig(&inj);
   // Single-stripe-unit reads: primary lives wholly on node 0, replica on 1.

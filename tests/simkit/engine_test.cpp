@@ -78,7 +78,8 @@ TEST(Engine, JoinWaitsForCompletion) {
   Engine eng;
   std::vector<double> order;
   auto child = eng.spawn(record_at(eng, 5.0, order, 100.0), "child");
-  eng.spawn([](Engine& e, ProcHandle h, std::vector<double>& out) -> Task<void> {
+  eng.spawn([](Engine& e, ProcHandle h,
+               std::vector<double>& out) -> Task<void> {
     co_await h.join();
     out.push_back(e.now());
   }(eng, child, order));
